@@ -1311,12 +1311,18 @@ impl LiveLake {
         let weak = Arc::downgrade(self);
         let stop_flag = stop.clone();
         let handle = std::thread::spawn(move || loop {
+            // Parked, not polling: `Compactor::halt` unparks this thread,
+            // so stopping never waits out a tick.
             let deadline = Instant::now() + interval;
-            while Instant::now() < deadline {
+            loop {
                 if stop_flag.load(Ordering::SeqCst) {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(25));
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                std::thread::park_timeout(left);
             }
             let Some(lake) = weak.upgrade() else { return };
             let worth = {
@@ -1383,6 +1389,7 @@ impl Compactor {
     fn halt(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }

@@ -352,6 +352,26 @@ fn random_mutation_interleavings_match_a_from_scratch_rebuild() {
 }
 
 // ---------------------------------------------------------------------
+// Background compactor
+// ---------------------------------------------------------------------
+
+#[test]
+fn stopping_the_compactor_does_not_wait_out_its_interval() {
+    let (model, _) = tiny_model(false);
+    let io: SharedIo = Arc::new(MemIo::new());
+    let lake = LiveLake::open(io, live_dir(), &model).expect("open").lake;
+    // An hour-long interval: the thread is parked until stop() unparks it.
+    let compactor = lake.spawn_compactor(std::time::Duration::from_secs(3600), 2);
+    let start = std::time::Instant::now();
+    compactor.stop();
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "stop() took {took:?}: the compactor slept through it"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Base-table drops
 // ---------------------------------------------------------------------
 

@@ -2,14 +2,16 @@
 //! `dj ctl` and by the integration tests (it doubles as the reference
 //! implementation for anyone writing a client in another language).
 
-use std::io::{self, Read as _};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    self, BatchQuery, ErrorCode, FrameError, QueryReply, Request, Response, StatsReply, WireError,
-    MAX_FRAME,
+    self, BatchQuery, ErrorCode, FrameError, FrameReader, QueryReply, Request, Response,
+    StatsReply, WireError, MAX_FRAME,
 };
+use crate::wake;
 
 /// One query in a pipelined or batched call — the borrowed form of the
 /// [`Request::Query`] fields.
@@ -243,6 +245,7 @@ impl From<FrameError> for ClientError {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    reader: FrameReader,
     /// The resolved peer, kept so retry paths can reconnect after the
     /// server dies mid-response.
     peer: std::net::SocketAddr,
@@ -252,13 +255,6 @@ pub struct Client {
     /// admission lane.
     tenant: Option<String>,
 }
-
-/// Socket slice for client-side reads. The socket timeout is this short
-/// slice, looped up to the configured total `read_timeout` — so a server
-/// (or an attacker in its place) trickling one byte per slice cannot hold
-/// the caller past the total budget the way a per-read timeout, which
-/// resets on every byte, would.
-const READ_SLICE: Duration = Duration::from_millis(250);
 
 impl Client {
     /// Connect with a 30 s read timeout (covers slow queries without
@@ -273,11 +269,11 @@ impl Client {
         timeout: Duration,
     ) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(READ_SLICE.min(timeout).max(Duration::from_millis(1))))?;
         stream.set_nodelay(true).ok();
         let peer = stream.peer_addr()?;
         Ok(Client {
             stream,
+            reader: FrameReader::new(MAX_FRAME),
             peer,
             read_timeout: timeout,
             tenant: None,
@@ -294,11 +290,9 @@ impl Client {
     /// Replace a dead connection with a fresh one to the same peer.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         let stream = TcpStream::connect(self.peer)?;
-        stream.set_read_timeout(Some(
-            READ_SLICE.min(self.read_timeout).max(Duration::from_millis(1)),
-        ))?;
         stream.set_nodelay(true).ok();
         self.stream = stream;
+        self.reader = FrameReader::new(MAX_FRAME);
         Ok(())
     }
 
@@ -327,8 +321,8 @@ impl Client {
         Err(last.expect("at least one attempt"))
     }
 
-    /// Send one request, read one response. The read enforces the total
-    /// `read_timeout` across slices (slow-loris defense on the client
+    /// Send one request, read one response. The whole response must
+    /// arrive within `read_timeout` (slow-loris defense on the client
     /// side — this also covers the replica `SyncFetch` path, which calls
     /// through here).
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
@@ -441,16 +435,29 @@ impl Client {
         corr.finish()
     }
 
-    /// Read and decode one response frame.
+    /// Read and decode one response frame. The budget is fixed when the
+    /// wait starts: bytes arriving do not extend it, so a peer trickling
+    /// them is cut off at `read_timeout` no matter how alive it looks.
     fn read_response(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame_sliced(&mut self.stream, MAX_FRAME, self.read_timeout)?
+        let deadline = Instant::now().checked_add(self.read_timeout);
+        let fd = [self.stream.as_raw_fd()];
+        let wait = || match wake::wait(&fd, deadline)? {
+            0 => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "server stalled mid-response past the read timeout",
+            )),
+            _ => Ok(()),
+        };
+        let payload = self
+            .reader
+            .read_frame(&mut self.stream, wait)?
             .ok_or_else(|| {
                 ClientError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection without answering",
                 ))
             })?;
-        Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+        Response::decode(payload).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// [`Client::query`] with bounded backoff on failures that are
@@ -569,78 +576,6 @@ impl Client {
 
 fn unexpected(wanted: &str, got: &Response) -> ClientError {
     ClientError::Protocol(format!("expected {wanted}, got {got:?}"))
-}
-
-/// Read one frame, accumulating short socket slices against a total
-/// deadline. Mirrors the server's sliced read: progress (bytes arriving)
-/// does not extend the budget, so a peer trickling bytes is cut off at
-/// `total` no matter how alive it looks.
-fn read_frame_sliced(
-    stream: &mut TcpStream,
-    max_frame: usize,
-    total: Duration,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let start = Instant::now();
-    let mut header = [0u8; 4];
-    let mut have = 0usize;
-    while have < 4 {
-        check_deadline(start, total)?;
-        match stream.read(&mut header[have..]) {
-            Ok(0) if have == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )))
-            }
-            Ok(n) => have += n,
-            Err(e) if stall_kind(&e) => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > max_frame {
-        return Err(FrameError::TooLarge {
-            announced: len,
-            cap: max_frame,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    let mut have = 0usize;
-    while have < len {
-        check_deadline(start, total)?;
-        match stream.read(&mut payload[have..]) {
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame body",
-                )))
-            }
-            Ok(n) => have += n,
-            Err(e) if stall_kind(&e) => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(Some(payload))
-}
-
-fn check_deadline(start: Instant, total: Duration) -> Result<(), FrameError> {
-    if start.elapsed() >= total {
-        return Err(FrameError::Io(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "server stalled mid-response past the read timeout",
-        )));
-    }
-    Ok(())
-}
-
-/// Socket-timeout error kinds (platform-dependent: WouldBlock on unix,
-/// TimedOut on some platforms).
-fn stall_kind(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
 }
 
 #[cfg(test)]

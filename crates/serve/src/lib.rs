@@ -35,6 +35,10 @@ pub mod protocol;
 pub mod replica;
 pub mod server;
 pub mod sync;
+pub mod wake;
+
+#[cfg(not(unix))]
+compile_error!("deepjoin-serve sleeps in poll(2) (src/wake.rs): it needs a unix target");
 
 pub use brownout::{
     tenant_id, BrownoutConfig, BrownoutController, Pressure, TenantSnapshot, TenantTable,

@@ -1080,41 +1080,147 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame: `u32`-le payload length, then the payload.
+/// Write one frame — `u32`-le payload length, then the payload — with a
+/// single `write`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    write_frames(w, &[payload])
+}
+
+/// Write `payloads` as back-to-back frames in **one** buffered `write`
+/// (plus one flush): header and body never travel as separate segments,
+/// and a wave answering D pipelined queries on a connection costs one
+/// syscall, not 2·D.
+pub fn write_frames<P: AsRef<[u8]>>(w: &mut impl Write, payloads: &[P]) -> io::Result<()> {
+    let total: usize = payloads.iter().map(|p| 4 + p.as_ref().len()).sum();
+    let mut buf = Vec::with_capacity(total);
+    for p in payloads {
+        let p = p.as_ref();
+        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        buf.extend_from_slice(p);
+    }
+    w.write_all(&buf)?;
     w.flush()
 }
 
-/// Read one frame. Returns `Ok(None)` on a clean EOF at a frame boundary
-/// (the peer closed between messages); EOF mid-frame is an error. A header
-/// announcing more than `max_frame` bytes fails *before* the body is read.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )))
-            }
-            n => got += n,
+/// Bytes a [`FrameReader`] asks the transport for at once: several query
+/// or reply frames' worth, so one `read` normally yields a whole frame
+/// and, on a pipelined connection, many.
+const READ_AHEAD: usize = 8 << 10;
+
+/// A [`FrameReader`] buffer that grew past this for one large frame is
+/// released once it has been consumed.
+const KEEP_BUFFER: usize = 64 << 10;
+
+/// The one frame reader: a reusable per-connection buffer that frames are
+/// parsed out of in place. Before every transport `read` it calls the
+/// caller's `wait` hook — that is where the server and client block (in
+/// [`crate::wake::wait`]) and enforce their per-frame time budget.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// `buf[head..tail]` holds bytes read but not yet handed out.
+    head: usize,
+    tail: usize,
+    max_frame: usize,
+    /// Read past the frame being assembled. Off only for the stateless
+    /// [`read_frame`], which must leave the next frame in the transport.
+    read_ahead: bool,
+}
+
+impl FrameReader {
+    /// A reader refusing frames whose header announces more than
+    /// `max_frame` payload bytes.
+    pub fn new(max_frame: usize) -> Self {
+        FrameReader {
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            max_frame,
+            read_ahead: true,
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(FrameError::TooLarge {
-            announced: len,
-            cap: max_frame,
-        });
+
+    /// The next frame's payload, borrowed from the buffer. `Ok(None)` is a
+    /// clean EOF at a frame boundary; EOF mid-frame is an error. A header
+    /// announcing more than `max_frame` bytes fails as soon as its four
+    /// bytes are in, without waiting for a body. An error from `wait` is
+    /// returned as [`FrameError::Io`]; frames already buffered are handed
+    /// out without calling it.
+    pub fn read_frame(
+        &mut self,
+        r: &mut impl Read,
+        mut wait: impl FnMut() -> io::Result<()>,
+    ) -> Result<Option<&[u8]>, FrameError> {
+        if self.head == self.tail && self.buf.len() > KEEP_BUFFER {
+            self.buf = Vec::new();
+        }
+        loop {
+            let have = self.tail - self.head;
+            let need = if have < 4 {
+                4
+            } else {
+                let header = &self.buf[self.head..self.head + 4];
+                let len = u32::from_le_bytes(header.try_into().expect("4-byte slice")) as usize;
+                if len > self.max_frame {
+                    return Err(FrameError::TooLarge {
+                        announced: len,
+                        cap: self.max_frame,
+                    });
+                }
+                if have >= 4 + len {
+                    let body = self.head + 4..self.head + 4 + len;
+                    self.head = body.end;
+                    if self.head == self.tail {
+                        (self.head, self.tail) = (0, 0);
+                    }
+                    return Ok(Some(&self.buf[body]));
+                }
+                4 + len
+            };
+            wait()?;
+            let want = if self.read_ahead {
+                need.max(READ_AHEAD)
+            } else {
+                need
+            };
+            if self.head + want > self.buf.len() {
+                self.buf.copy_within(self.head..self.tail, 0);
+                (self.head, self.tail) = (0, have);
+                if want > self.buf.len() {
+                    self.buf.resize(want, 0);
+                }
+            }
+            match r.read(&mut self.buf[self.tail..self.head + want]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        if have < 4 {
+                            "eof inside frame header"
+                        } else {
+                            "eof inside frame body"
+                        },
+                    )))
+                }
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+}
+
+/// Read one frame and nothing past it. Returns `Ok(None)` on a clean EOF
+/// at a frame boundary (the peer closed between messages); EOF mid-frame
+/// is an error. A header announcing more than `max_frame` bytes fails
+/// *before* the body is read. Connections that read many frames keep a
+/// [`FrameReader`] instead.
+pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>, FrameError> {
+    let mut reader = FrameReader {
+        read_ahead: false,
+        ..FrameReader::new(max_frame)
+    };
+    Ok(reader.read_frame(r, || Ok(()))?.map(<[u8]>::to_vec))
 }
 
 #[cfg(test)]
@@ -1784,6 +1890,242 @@ mod tests {
             read_frame(&mut cur, MAX_FRAME),
             Err(FrameError::Io(_))
         ));
+    }
+
+    /// The pre-`FrameReader` implementation, kept as the reference the
+    /// property test compares against.
+    fn reference_read_frame(
+        r: &mut impl Read,
+        max_frame: usize,
+    ) -> Result<Option<Vec<u8>>, FrameError> {
+        let mut len_buf = [0u8; 4];
+        let mut got = 0;
+        while got < 4 {
+            match r.read(&mut len_buf[got..])? {
+                0 if got == 0 => return Ok(None),
+                0 => {
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "eof inside frame header",
+                    )))
+                }
+                n => got += n,
+            }
+        }
+        let len = u32::from_le_bytes(len_buf) as usize;
+        if len > max_frame {
+            return Err(FrameError::TooLarge {
+                announced: len,
+                cap: max_frame,
+            });
+        }
+        let mut payload = vec![0u8; len];
+        let mut have = 0;
+        while have < len {
+            match r.read(&mut payload[have..])? {
+                0 => {
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "eof inside frame body",
+                    )))
+                }
+                n => have += n,
+            }
+        }
+        Ok(Some(payload))
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Hands out `data` in random pieces of 1..=`max_piece` bytes.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        rng: u64,
+        max_piece: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let piece = 1 + xorshift(&mut self.rng) as usize % self.max_piece;
+            let n = piece.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every frame up to and including the terminal outcome (clean EOF or
+    /// an error), rendered comparably.
+    fn drain(mut next: impl FnMut() -> Result<Option<Vec<u8>>, FrameError>) -> Vec<String> {
+        let mut out = Vec::new();
+        loop {
+            match next() {
+                Ok(Some(frame)) => out.push(format!("frame {frame:?}")),
+                Ok(None) => out.push("eof".to_string()),
+                Err(FrameError::TooLarge { announced, cap }) => {
+                    out.push(format!("too large {announced} > {cap}"))
+                }
+                Err(FrameError::Io(e)) => out.push(format!("io {:?} {e}", e.kind())),
+            }
+            if !out.last().expect("just pushed").starts_with("frame") {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_matches_the_reference_under_any_split() {
+        const CAP: usize = 100_000;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..40 {
+            // N random frames: mostly query-sized, some past the
+            // read-ahead chunk, one in four streams with a frame past the
+            // buffer the reader keeps.
+            let mut stream = Vec::new();
+            for _ in 0..1 + xorshift(&mut rng) % 12 {
+                let len = match xorshift(&mut rng) % 8 {
+                    0 => 0,
+                    1 => READ_AHEAD + xorshift(&mut rng) as usize % 5000,
+                    2 if case % 4 == 0 => KEEP_BUFFER + 7,
+                    _ => xorshift(&mut rng) as usize % 300,
+                };
+                let payload: Vec<u8> = (0..len).map(|_| xorshift(&mut rng) as u8).collect();
+                write_frame(&mut stream, &payload).unwrap();
+            }
+            // How the stream ends: cleanly, inside a header, inside a
+            // body, or with an oversized announcement.
+            match case % 4 {
+                0 => {}
+                1 => stream.extend_from_slice(&[7, 0]),
+                2 => {
+                    stream.extend_from_slice(&50u32.to_le_bytes());
+                    stream.extend_from_slice(&[9; 20]);
+                }
+                _ => stream.extend_from_slice(&(CAP as u32 + 1).to_le_bytes()),
+            }
+            let mut cur = std::io::Cursor::new(&stream);
+            let want = drain(|| reference_read_frame(&mut cur, CAP));
+            assert!(
+                want.len() >= 2,
+                "case {case}: at least one frame and an ending"
+            );
+            for max_piece in [1, 3, 5, 64, 4096, 1 << 20] {
+                let pieces = || Pieces {
+                    data: &stream,
+                    rng: rng ^ max_piece as u64,
+                    max_piece,
+                };
+                let mut src = pieces();
+                let mut reader = FrameReader::new(CAP);
+                let buffered = drain(|| {
+                    reader
+                        .read_frame(&mut src, || Ok(()))
+                        .map(|f| f.map(<[u8]>::to_vec))
+                });
+                assert_eq!(buffered, want, "case {case}, pieces of <= {max_piece}");
+                let mut src = pieces();
+                let exact = drain(|| read_frame(&mut src, CAP));
+                assert_eq!(exact, want, "case {case}, pieces of <= {max_piece}, exact");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_reads_ahead_and_read_frame_does_not() {
+        let mut stream = Vec::new();
+        for i in 0..5u8 {
+            write_frame(&mut stream, &[i; 10]).unwrap();
+        }
+        // One transport read yields all five frames; the wait hook runs
+        // once, before that read, and never for a buffered frame.
+        let mut cur = std::io::Cursor::new(&stream);
+        let mut reader = FrameReader::new(MAX_FRAME);
+        let mut waits = 0;
+        for i in 0..5u8 {
+            let counting = || {
+                waits += 1;
+                Ok(())
+            };
+            let frame = reader.read_frame(&mut cur, counting).unwrap();
+            assert_eq!(frame.unwrap(), [i; 10]);
+        }
+        assert_eq!(waits, 1);
+        assert_eq!(cur.position() as usize, stream.len());
+        // The stateless function stops at its frame's last byte.
+        let mut cur = std::io::Cursor::new(&stream);
+        assert_eq!(read_frame(&mut cur, MAX_FRAME).unwrap().unwrap(), [0; 10]);
+        assert_eq!(cur.position(), 14);
+        // A failing wait hook surfaces as the frame error.
+        let mut reader = FrameReader::new(MAX_FRAME);
+        let err = reader.read_frame(&mut cur, || Err(io::ErrorKind::TimedOut.into()));
+        assert!(matches!(err, Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::TimedOut));
+    }
+
+    /// A stream that counts how many OS-level `write` calls it absorbs.
+    #[derive(Default)]
+    struct CountingStream {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_waves_responses_for_one_connection_are_one_buffered_write() {
+        let payloads: Vec<Vec<u8>> = (0..4)
+            .map(|i| {
+                Response::QueryFor {
+                    request_id: i,
+                    reply: Err(WireError {
+                        code: ErrorCode::Internal,
+                        message: format!("m{i}"),
+                    }),
+                }
+                .encode()
+            })
+            .collect();
+        let mut stream = CountingStream::default();
+        write_frames(&mut stream, &payloads).unwrap();
+        // The pin: one write call for the whole wave share (not one or two
+        // per frame), one flush.
+        assert_eq!(stream.writes, 1);
+        assert_eq!(stream.flushes, 1);
+        // The coalesced bytes are still valid back-to-back frames.
+        let mut cur = std::io::Cursor::new(stream.bytes);
+        for i in 0..4 {
+            let frame = read_frame(&mut cur, MAX_FRAME).unwrap().unwrap();
+            match Response::decode(&frame).unwrap() {
+                Response::QueryFor { request_id, .. } => assert_eq!(request_id, i),
+                other => panic!("expected QueryFor, got {other:?}"),
+            }
+        }
+        assert!(read_frame(&mut cur, MAX_FRAME).unwrap().is_none());
+        // An empty share never touches the socket.
+        let mut empty = CountingStream::default();
+        write_frames(&mut empty, &[] as &[Vec<u8>]).unwrap();
+        assert_eq!(empty.writes, 0);
+        // A single frame is one write too: header and body together.
+        let mut single = CountingStream::default();
+        write_frame(&mut single, b"hello").unwrap();
+        assert_eq!((single.writes, single.flushes), (1, 1));
+        assert_eq!(single.bytes, b"\x05\0\0\0hello");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! Threading model (all scoped — the server can never leak threads):
 //!
-//! * the caller's thread runs the accept loop (non-blocking, polled so it
-//!   can notice shutdown/reload signals between connections);
+//! * the caller's thread runs the accept loop, asleep in [`wake::wait`] on
+//!   the listener, the drain latch and the SIGHUP latch;
 //! * one scoped thread per connection reads frames and answers cheap
-//!   requests (ping/stats/reload/shutdown) inline;
+//!   requests (ping/stats/reload/shutdown) inline, asleep between frames
+//!   on its socket and the drain latch;
 //! * query requests pass their tenant's token bucket, then a
 //!   deficit-weighted fair queue ([`deepjoin_par::FairQueue`]), and are
 //!   answered by a fixed pool of scoped worker threads — at capacity the
@@ -14,15 +15,15 @@
 //!   CoDel-style controller steps the answer-effort ladder down when
 //!   queue sojourn stays over target.
 //!
-//! Connections use sliced reads (a short socket timeout looped up to the
-//! configured per-frame budget) so a stalled client ties up its thread for
-//! at most `read_timeout`, and a drain is never blocked behind a slow
-//! reader.
+//! Nothing wakes periodically. A frame must arrive within `read_timeout`
+//! of the wait for it starting — bytes trickling in do not extend that —
+//! and tripping the drain latch wakes every sleeper at once.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,11 +34,12 @@ use crate::brownout::{
     tenant_id, BrownoutConfig, BrownoutController, Pressure, TenantTable, DEFAULT_TENANT,
 };
 use crate::protocol::{
-    self, ErrorCode, FrameError, OverloadStats, QueryReply, Request, Response, StatsReply,
-    TenantStats, WireError, WireHit,
+    self, ErrorCode, FrameError, FrameReader, OverloadStats, QueryReply, Request, Response,
+    StatsReply, TenantStats, WireError, WireHit,
 };
 use crate::replica::ReplicationState;
 use crate::sync::SyncExport;
+use crate::wake::{self, Latch};
 use crate::{Loader, MutateOp, ServeModel, WaveQuery};
 
 /// Tuning for one server instance.
@@ -155,7 +157,7 @@ enum JobSink {
 /// Serializes all frame writes on one connection. The connection thread's
 /// inline replies (pong, stats, shed errors) and worker-written waves
 /// interleave at frame granularity; a wave's answers for one connection
-/// land in a single buffered write (see [`write_coalesced`]).
+/// land in a single buffered write (see [`protocol::write_frames`]).
 struct ConnWriter {
     stream: Mutex<TcpStream>,
 }
@@ -172,28 +174,17 @@ impl ConnWriter {
     }
 
     fn write_frames(&self, payloads: &[Vec<u8>]) -> io::Result<()> {
-        write_coalesced(&mut *self.stream.lock().expect("conn writer lock"), payloads)
+        protocol::write_frames(
+            &mut *self.stream.lock().expect("conn writer lock"),
+            payloads,
+        )
     }
 }
 
-/// Write `payloads` as length-prefixed frames in **one** buffered write
-/// (plus one flush): a wave answering D pipelined queries on a connection
-/// costs one syscall, not 2·D header/body writes.
 /// One connection's share of a wave: the writer identity (pointer keyed —
 /// `Arc::ptr_eq` semantics without nested loops), the live handle, and the
 /// encoded response payloads destined for it.
 type WaveShare = (*const ConnWriter, Arc<ConnWriter>, Vec<Vec<u8>>);
-
-fn write_coalesced(w: &mut impl Write, payloads: &[Vec<u8>]) -> io::Result<()> {
-    let total: usize = payloads.iter().map(|p| 4 + p.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in payloads {
-        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        buf.extend_from_slice(p);
-    }
-    w.write_all(&buf)?;
-    w.flush()
-}
 
 #[derive(Default)]
 struct Counters {
@@ -217,7 +208,11 @@ struct Shared {
     generation: AtomicU32,
     loader: Loader,
     queue: FairQueue<Job>,
-    shutdown: AtomicBool,
+    /// Tripped once to begin the drain; every thread asleep in
+    /// [`wake::wait`] watches it.
+    drain: Latch,
+    /// Times the accept loop has gone to sleep (pins "no periodic wakeup").
+    accept_waits: AtomicU64,
     conns: AtomicUsize,
     counters: Counters,
     /// Serializes reloads; queries are *not* blocked by this (they only
@@ -352,12 +347,25 @@ impl ServerHandle {
     /// Begin graceful drain: stop accepting, answer admitted work, return
     /// from [`Server::run`].
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.drain.trip();
     }
 
     /// True once a drain has begun.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.drain.is_tripped()
+    }
+
+    /// Times the accept loop has gone to sleep. An idle server sleeps
+    /// once and stays asleep; tests pin that.
+    #[doc(hidden)]
+    pub fn accept_waits(&self) -> u64 {
+        self.shared.accept_waits.load(Ordering::Relaxed)
+    }
+
+    /// Connections currently open.
+    #[doc(hidden)]
+    pub fn open_connections(&self) -> usize {
+        self.shared.conns.load(Ordering::Relaxed)
     }
 
     /// Current server counters.
@@ -413,7 +421,8 @@ impl Server {
             generation: AtomicU32::new(1),
             loader,
             queue: FairQueue::new(config.max_inflight),
-            shutdown: AtomicBool::new(false),
+            drain: Latch::new().map_err(|e| format!("drain latch: {e}"))?,
+            accept_waits: AtomicU64::new(0),
             conns: AtomicUsize::new(0),
             counters: Counters::default(),
             reload_lock: Mutex::new(()),
@@ -464,34 +473,41 @@ impl Server {
     /// when signal handlers are installed, or [`ServerHandle::shutdown`]),
     /// then drain admitted work and return.
     pub fn run(&self) -> io::Result<()> {
-        #[cfg(unix)]
-        if self.install_signals {
-            signals::install();
-        }
-        self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
+        // SIGHUP wakes the accept loop through a latch of its own; the
+        // guard disarms the handlers before that latch closes.
+        let hup = Latch::new()?;
+        let _armed = self
+            .install_signals
+            .then(|| signals::arm(shared.drain.write_fd(), hup.write_fd()));
+        self.listener.set_nonblocking(true)?;
         std::thread::scope(|s| {
             // Fixed worker pool: the only threads that touch the model.
             for _ in 0..self.workers {
                 s.spawn(|| worker_loop(shared));
             }
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
+            let accepted = loop {
+                shared.accept_waits.fetch_add(1, Ordering::Relaxed);
+                let ready = match wake::wait(
+                    &[shared.drain.fd(), hup.fd(), self.listener.as_raw_fd()],
+                    None,
+                ) {
+                    Ok(ready) => ready,
+                    Err(e) => break Err(e),
+                };
+                if ready & 0b001 != 0 {
+                    break Ok(());
                 }
-                #[cfg(unix)]
-                if self.install_signals {
-                    if signals::take_term() {
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        break;
+                if ready & 0b010 != 0 {
+                    hup.clear();
+                    // Best-effort live reload; a failure keeps serving the
+                    // old snapshot.
+                    if let Err(e) = shared.reload(None) {
+                        eprintln!("warning: SIGHUP reload failed: {e}");
                     }
-                    if signals::take_hup() {
-                        // Best-effort live reload; a failure keeps serving
-                        // the old snapshot.
-                        if let Err(e) = shared.reload(None) {
-                            eprintln!("warning: SIGHUP reload failed: {e}");
-                        }
-                    }
+                }
+                if ready & 0b100 == 0 {
+                    continue;
                 }
                 match self.listener.accept() {
                     Ok((stream, _)) => {
@@ -505,17 +521,17 @@ impl Server {
                             shared.conns.fetch_sub(1, Ordering::Relaxed);
                         });
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => return Err(e),
+                    // The peer gave up between readiness and accept.
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => break Err(e),
                 }
-            }
-            // Drain: no new work is admitted; workers finish the backlog
-            // and exit; connection threads notice the flag at their next
-            // read slice and close. The scope join is the drain barrier.
+            };
+            // Drain: the latch wakes every connection thread (on an
+            // accept-loop failure too); no new work is admitted; workers
+            // finish the backlog and exit. The scope join is the barrier.
+            shared.drain.trip();
             shared.queue.close();
-            Ok(())
+            accepted
         })?;
         // Graceful exit: give a live model the chance to flush its
         // memtable. Crash safety never depends on this (the journal
@@ -784,24 +800,26 @@ fn internal_error(msg: &str) -> Response {
 /// client can keep its pipeline window full while worker waves write the
 /// correlated answers back through the shared [`ConnWriter`].
 fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
-    // Short slices let the loop observe drain and enforce the total
-    // per-frame budget against slow-loris clients.
-    stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     stream.set_nodelay(true).ok();
     // All frame writes go through one serialized writer: the read loop's
     // inline replies and worker-written waves may otherwise interleave
     // mid-frame.
     let writer = Arc::new(ConnWriter::new(stream.try_clone()?));
+    let mut reader = FrameReader::new(shared.config.max_frame);
+    let fds = [shared.drain.fd(), stream.as_raw_fd()];
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let resp = Response::Error(WireError {
-                code: ErrorCode::Unavailable,
-                message: "server is draining".to_string(),
-            });
-            let _ = writer.write_frame(&resp.encode());
-            return Ok(());
-        }
-        let payload = match read_frame_sliced(shared, &mut stream) {
+        // One budget per frame, fixed when the wait for it starts: bytes
+        // trickling in do not extend it (slow-loris rule).
+        let deadline = Instant::now().checked_add(shared.config.read_timeout);
+        let wait = || {
+            let why = match wake::wait(&fds, deadline)? {
+                0 => "client stalled mid-frame",
+                ready if ready & 1 != 0 => "server draining during read",
+                _ => return Ok(()),
+            };
+            Err(io::Error::new(io::ErrorKind::TimedOut, why))
+        };
+        let payload = match reader.read_frame(&mut stream, wait) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // clean EOF
             Err(FrameError::TooLarge { announced, cap }) => {
@@ -814,8 +832,8 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
             }
             Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::TimedOut => {
                 // Either the client stalled past read_timeout or a drain
-                // started mid-read; tell it which before closing.
-                let resp = if shared.shutdown.load(Ordering::SeqCst) {
+                // began; tell it which before closing.
+                let resp = if shared.drain.is_tripped() {
                     Response::Error(WireError {
                         code: ErrorCode::Unavailable,
                         message: "server is draining".to_string(),
@@ -831,7 +849,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
             }
             Err(FrameError::Io(e)) => return Err(e),
         };
-        let request = match Request::decode(&payload) {
+        let request = match Request::decode(payload) {
             Ok(r) => r,
             Err(e) => {
                 let resp = Response::Error(WireError {
@@ -848,7 +866,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
             Request::Ping => Response::Pong,
             Request::Stats => Response::Stats(shared.stats()),
             Request::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.drain.trip();
                 let _ = writer.write_frame(&Response::ShuttingDown.encode());
                 return Ok(());
             }
@@ -1126,89 +1144,17 @@ fn dispatch_query(
     resp
 }
 
-/// Read one frame with the 250 ms socket slices accumulated against the
-/// connection's total `read_timeout`, checking the drain flag between
-/// slices. Distinguishes a stall (TimedOut) from transport errors.
-fn read_frame_sliced(shared: &Shared, stream: &mut TcpStream) -> Result<Option<Vec<u8>>, FrameError> {
-    let start = Instant::now();
-    let mut header = [0u8; 4];
-    let mut have = 0usize;
-    // Header phase: a clean EOF before any byte is a normal close.
-    while have < 4 {
-        check_stall(shared, start)?;
-        match stream.read(&mut header[have..]) {
-            Ok(0) if have == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )))
-            }
-            Ok(n) => have += n,
-            Err(e) if stall_kind(&e) => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > shared.config.max_frame {
-        return Err(FrameError::TooLarge {
-            announced: len,
-            cap: shared.config.max_frame,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    let mut have = 0usize;
-    while have < len {
-        check_stall(shared, start)?;
-        match stream.read(&mut payload[have..]) {
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame body",
-                )))
-            }
-            Ok(n) => have += n,
-            Err(e) if stall_kind(&e) => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(Some(payload))
-}
-
-fn check_stall(shared: &Shared, start: Instant) -> Result<(), FrameError> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(FrameError::Io(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "server draining during read",
-        )));
-    }
-    if start.elapsed() >= shared.config.read_timeout {
-        return Err(FrameError::Io(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "client stalled mid-frame",
-        )));
-    }
-    Ok(())
-}
-
-/// Socket-timeout error kinds (platform-dependent: WouldBlock on unix,
-/// TimedOut on some platforms).
-fn stall_kind(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
 /// Minimal async-signal-safe handlers. The libc `signal` symbol is linked
-/// into every Rust binary, so no external crate is needed; handlers only
-/// set atomics that the accept loop polls.
-#[cfg(unix)]
+/// into every Rust binary, so no external crate is needed; a handler does
+/// one `write(2)` to the latch armed for its signal.
 mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::os::fd::RawFd;
+    use std::sync::atomic::{AtomicI32, Ordering};
 
-    static TERM: AtomicBool = AtomicBool::new(false);
-    static HUP: AtomicBool = AtomicBool::new(false);
+    use crate::wake;
+
+    static TERM_FD: AtomicI32 = AtomicI32::new(-1);
+    static HUP_FD: AtomicI32 = AtomicI32::new(-1);
 
     const SIGHUP: i32 = 1;
     const SIGINT: i32 = 2;
@@ -1218,93 +1164,35 @@ mod signals {
         fn signal(signum: i32, handler: usize) -> usize;
     }
 
-    extern "C" fn on_term(_sig: i32) {
-        TERM.store(true, Ordering::SeqCst);
+    extern "C" fn on_signal(sig: i32) {
+        let fd = if sig == SIGHUP { &HUP_FD } else { &TERM_FD };
+        wake::trip_raw(fd.load(Ordering::SeqCst));
     }
 
-    extern "C" fn on_hup(_sig: i32) {
-        HUP.store(true, Ordering::SeqCst);
-    }
+    /// Points the handlers back at nothing when dropped, so a late signal
+    /// cannot write into a descriptor number the process has reused.
+    pub struct Armed;
 
-    pub fn install() {
-        unsafe {
-            signal(SIGTERM, on_term as extern "C" fn(i32) as usize);
-            signal(SIGINT, on_term as extern "C" fn(i32) as usize);
-            signal(SIGHUP, on_hup as extern "C" fn(i32) as usize);
-        }
-    }
-
-    pub fn take_term() -> bool {
-        TERM.swap(false, Ordering::SeqCst)
-    }
-
-    pub fn take_hup() -> bool {
-        HUP.swap(false, Ordering::SeqCst)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A stream that counts how many OS-level `write` calls it absorbs.
-    #[derive(Default)]
-    struct CountingStream {
-        writes: usize,
-        flushes: usize,
-        bytes: Vec<u8>,
-    }
-
-    impl Write for CountingStream {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            self.flushes += 1;
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn a_waves_responses_for_one_connection_are_one_buffered_write() {
-        let payloads: Vec<Vec<u8>> = (0..4)
-            .map(|i| {
-                Response::QueryFor {
-                    request_id: i,
-                    reply: Err(WireError {
-                        code: ErrorCode::Internal,
-                        message: format!("m{i}"),
-                    }),
-                }
-                .encode()
-            })
-            .collect();
-        let mut stream = CountingStream::default();
-        write_coalesced(&mut stream, &payloads).unwrap();
-        // The pin: one write call for the whole wave share (not one or two
-        // per frame), one flush.
-        assert_eq!(stream.writes, 1);
-        assert_eq!(stream.flushes, 1);
-        // The coalesced bytes are still valid back-to-back frames.
-        let mut cur = std::io::Cursor::new(stream.bytes);
-        for i in 0..4 {
-            let frame = protocol::read_frame(&mut cur, protocol::MAX_FRAME)
-                .unwrap()
-                .unwrap();
-            match Response::decode(&frame).unwrap() {
-                Response::QueryFor { request_id, .. } => assert_eq!(request_id, i),
-                other => panic!("expected QueryFor, got {other:?}"),
+    /// Route SIGTERM/SIGINT to `term_fd` and SIGHUP to `hup_fd` (latch
+    /// write ends) until the returned guard drops.
+    pub fn arm(term_fd: RawFd, hup_fd: RawFd) -> Armed {
+        TERM_FD.store(term_fd, Ordering::SeqCst);
+        HUP_FD.store(hup_fd, Ordering::SeqCst);
+        let handler = on_signal as extern "C" fn(i32) as usize;
+        for sig in [SIGTERM, SIGINT, SIGHUP] {
+            // SAFETY: `on_signal` only loads an atomic and calls write(2),
+            // both async-signal-safe.
+            unsafe {
+                signal(sig, handler);
             }
         }
-        assert!(protocol::read_frame(&mut cur, protocol::MAX_FRAME)
-            .unwrap()
-            .is_none());
-        // An empty share never touches the socket.
-        let mut empty = CountingStream::default();
-        write_coalesced(&mut empty, &[]).unwrap();
-        assert_eq!(empty.writes, 0);
+        Armed
+    }
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            TERM_FD.store(-1, Ordering::SeqCst);
+            HUP_FD.store(-1, Ordering::SeqCst);
+        }
     }
 }

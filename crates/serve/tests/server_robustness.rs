@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 use deepjoin_ann::Budget;
 use deepjoin_serve::{
-    BrownoutConfig, Client, ClientError, ErrorCode, Health, Hit, LoadedSnapshot, QueryOutcome,
-    Response, RetryPolicy, ServeModel, Server, ServerConfig, ServerHandle,
+    protocol, BrownoutConfig, Client, ClientError, ErrorCode, Health, Hit, LoadedSnapshot, QueryOutcome,
+    Request, Response, RetryPolicy, ServeModel, Server, ServerConfig, ServerHandle,
 };
 
 /// A model whose answers encode its own identity: hit ids start at
@@ -431,6 +431,113 @@ fn shutdown_request_drains_and_run_returns() {
     );
     join.join().expect("run() must return after drain");
     drop(handle);
+}
+
+// ---- wake-driven front end: nothing polls, a drain wakes every sleeper.
+
+#[test]
+fn an_idle_server_never_wakes_and_answers_a_new_connection_at_once() {
+    let (addr, handle, join) = spawn_server(
+        ServerConfig::default(),
+        toy_loader(Duration::ZERO, 5),
+    );
+    // Host-independent: however slow the machine, an accept loop that
+    // sleeps until woken goes to sleep at most once while nothing happens.
+    let mut idle = TcpStream::connect(&addr).unwrap(); // an idle connection too
+    protocol::write_frame(&mut idle, &Request::Ping.encode()).unwrap();
+    read_one_frame(&mut idle).expect("pong");
+    let before = handle.accept_waits();
+    thread::sleep(Duration::from_millis(300));
+    let waits = handle.accept_waits() - before;
+    assert!(waits <= 1, "accept loop woke {waits} times while idle");
+    // connect -> Ping -> Pong costs a round trip, not an accept tick.
+    let mut took: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            Client::connect(&addr).unwrap().ping().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(
+        took[10] < Duration::from_millis(5),
+        "median connect+ping took {:?}",
+        took[10]
+    );
+    stop(&handle, join);
+}
+
+#[test]
+fn shutdown_wakes_every_idle_connection_at_once() {
+    let (addr, handle, join) = spawn_server(
+        ServerConfig::default(),
+        toy_loader(Duration::ZERO, 5),
+    );
+    let mut idle: Vec<TcpStream> = (0..8)
+        .map(|_| {
+            let mut raw = TcpStream::connect(&addr).unwrap();
+            // Answered once, so its connection thread is up and waiting.
+            protocol::write_frame(&mut raw, &Request::Ping.encode()).unwrap();
+            read_one_frame(&mut raw).expect("pong");
+            raw
+        })
+        .collect();
+    let start = Instant::now();
+    handle.shutdown();
+    join.join().expect("run() must return after drain");
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(150),
+        "drain with 8 idle connections took {took:?}"
+    );
+    for raw in &mut idle {
+        let payload = read_one_frame(raw).expect("an idle peer is told why it is closed");
+        match Response::decode(&payload).unwrap() {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::Unavailable);
+                assert_eq!(e.message, "server is draining");
+            }
+            other => panic!("expected Unavailable, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_trickling_client_is_cut_at_the_total_read_timeout() {
+    let (addr, handle, join) = spawn_server(
+        ServerConfig {
+            read_timeout: Duration::from_millis(400),
+            ..ServerConfig::default()
+        },
+        toy_loader(Duration::ZERO, 5),
+    );
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let mut feed = raw.try_clone().unwrap();
+    let start = Instant::now();
+    // One byte every 50 ms of a frame announcing 200: always making
+    // progress, never finishing. Progress must not extend the budget.
+    let trickle = thread::spawn(move || {
+        let mut bytes = Vec::new();
+        protocol::write_frame(&mut bytes, &[0u8; 200]).unwrap();
+        for b in bytes {
+            if feed.write_all(&[b]).is_err() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(50));
+        }
+    });
+    let payload = read_one_frame(&mut raw).expect("the cut must be a structured error");
+    let took = start.elapsed();
+    match Response::decode(&payload).unwrap() {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
+        other => panic!("expected BadRequest timeout, got {other:?}"),
+    }
+    assert!(took >= Duration::from_millis(300), "cut early: {took:?}");
+    assert!(took < Duration::from_secs(3), "cut late: {took:?}");
+    drop(raw);
+    trickle.join().unwrap();
+    assert_still_serving(&addr);
+    stop(&handle, join);
 }
 
 // ---- overload layer: per-tenant admission, fair queueing, brownout.
