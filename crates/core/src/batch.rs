@@ -24,9 +24,10 @@ const MIN_COLS_PER_CHUNK: usize = 8;
 /// Encode every column of `repo`, single-threaded. Returns row-major
 /// embeddings in repository order.
 pub fn encode_repository(model: &DeepJoin, repo: &Repository) -> Vec<f32> {
-    let mut out = Vec::with_capacity(repo.len() * model.config().dim);
-    for col in repo.columns() {
-        out.extend_from_slice(&model.embed_column(col));
+    let dim = model.config().dim;
+    let mut out = vec![0f32; repo.len() * dim];
+    for (col, slot) in repo.columns().iter().zip(out.chunks_exact_mut(dim)) {
+        model.embed_column_into(col, slot);
     }
     out
 }
@@ -43,8 +44,8 @@ pub fn encode_repository_parallel(model: &DeepJoin, repo: &Repository, threads: 
         columns.len(),
         MIN_COLS_PER_CHUNK,
         |range, slot| {
-            for (i, col) in columns[range].iter().enumerate() {
-                slot[i * dim..(i + 1) * dim].copy_from_slice(&model.embed_column(col));
+            for (col, slot) in columns[range].iter().zip(slot.chunks_exact_mut(dim)) {
+                model.embed_column_into(col, slot);
             }
         },
     );

@@ -112,6 +112,26 @@ struct LiveRow {
     embedding: Vec<f32>,
 }
 
+impl LiveRow {
+    /// The row an ingested column becomes, at ingest and again at replay.
+    fn embed(model: &DeepJoin, id: u32, title: &str, name: &str, cells: &[String]) -> Self {
+        let col = Column::new(
+            cells.to_vec(),
+            ColumnMeta {
+                table_title: title.to_string(),
+                column_name: name.to_string(),
+                ..ColumnMeta::default()
+            },
+        );
+        LiveRow {
+            id,
+            embedding: model.embed_column(&col),
+            table: col.meta.table_title,
+            column: col.meta.column_name,
+        }
+    }
+}
+
 #[derive(Clone)]
 struct SegmentMeta {
     file: String,
@@ -850,20 +870,7 @@ impl LiveLake {
                     columns,
                 }) => {
                     for (i, (name, cells)) in columns.iter().enumerate() {
-                        let col = Column::new(
-                            cells.clone(),
-                            ColumnMeta {
-                                table_title: title.clone(),
-                                column_name: name.clone(),
-                                ..ColumnMeta::default()
-                            },
-                        );
-                        mem.push(LiveRow {
-                            id: first_id + i as u32,
-                            table: title.clone(),
-                            column: name.clone(),
-                            embedding: model.embed_column(&col),
-                        });
+                        mem.push(LiveRow::embed(model, first_id + i as u32, &title, name, cells));
                     }
                     manifest.next_id = manifest.next_id.max(first_id + columns.len() as u32);
                     dirty = true;
@@ -967,23 +974,10 @@ impl LiveLake {
         // journaled cells. Ids are assigned by the commit leader in
         // journal order (replay assigns `first_id + i`, so allocation
         // order and journal order must agree).
-        let mut rows = Vec::with_capacity(columns.len());
-        for (name, cells) in columns {
-            let col = Column::new(
-                cells.clone(),
-                ColumnMeta {
-                    table_title: title.to_string(),
-                    column_name: name.clone(),
-                    ..ColumnMeta::default()
-                },
-            );
-            rows.push(LiveRow {
-                id: 0, // allocated at commit
-                table: title.to_string(),
-                column: name.clone(),
-                embedding: model.embed_column(&col),
-            });
-        }
+        let rows = columns
+            .iter()
+            .map(|(name, cells)| LiveRow::embed(model, 0, title, name, cells)) // ids: at commit
+            .collect();
         self.commit(PendingOp::Add {
             title: title.to_string(),
             columns: columns.to_vec(),

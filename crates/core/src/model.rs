@@ -11,7 +11,7 @@ use deepjoin_embed::sgns::{train_sgns, SgnsConfig};
 use deepjoin_lake::column::{Column, ColumnId};
 use deepjoin_lake::joinability::ScoredColumn;
 use deepjoin_lake::repository::Repository;
-use deepjoin_lake::tokenizer::Vocabulary;
+use deepjoin_lake::tokenizer::{TokenId, Vocabulary};
 use deepjoin_nn::encoder::{ColumnEncoder, EncoderConfig};
 
 use crate::checkpoint::CheckpointStore;
@@ -271,6 +271,9 @@ impl DeepJoin {
         };
         let mut encoder = ColumnEncoder::new(enc_cfg);
         encoder.load_pretrained_embeddings(&pretrained.table);
+        // Pre-training's corpus and tables are dead weight from here on:
+        // freed now, they are not part of fine-tuning's peak.
+        drop((texts, sentences, pretrained));
 
         // 4. Self-join labeling + augmentation + fine-tuning.
         let positives = self_join_positives(train_repo, join_type, &space, &config.data);
@@ -327,13 +330,26 @@ impl DeepJoin {
     /// Contextualize + tokenize + encode one column (the "query encoding"
     /// stage of the efficiency analysis, §3.4).
     pub fn embed_column(&self, column: &Column) -> Vec<f32> {
-        let text = self.textizer.transform(column);
-        let tokens = self
-            .vocab
-            .encode_hybrid_bucketed(&text, self.config.oov_buckets);
-        let mut v = self.encoder.encode(&tokens);
-        deepjoin_embed::vector::normalize(&mut v);
+        let mut v = vec![0.0; self.config.dim];
+        self.embed_column_into(column, &mut v);
         v
+    }
+
+    /// [`DeepJoin::embed_column`] into a caller's `dim`-long slot. Text, token
+    /// ids and activations live in per-thread buffers: once those have grown,
+    /// only the textizer's distinct-cell list and set are allocated.
+    pub fn embed_column_into(&self, column: &Column, out: &mut [f32]) {
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<(String, String, Vec<TokenId>)> = Default::default();
+        }
+        SCRATCH.with(|s| {
+            let (text, buf, ids) = &mut *s.borrow_mut();
+            self.textizer.transform_into(column, text);
+            self.vocab
+                .encode_hybrid_bucketed_into(text, self.config.oov_buckets, buf, ids);
+            self.encoder.encode_into(ids, out);
+        });
+        deepjoin_embed::vector::normalize(out);
     }
 
     /// Offline: embed and index every column of the repository (§3.3).
@@ -342,12 +358,7 @@ impl DeepJoin {
     /// with the unit-norm promise (enables the cosine `-dot` fast path; a
     /// no-op under L2).
     pub fn index_repository(&mut self, repo: &Repository) {
-        let mut index = HnswIndex::new(self.config.dim, self.config.hnsw).with_unit_norm(true);
-        for col in repo.columns() {
-            let v = self.embed_column(col);
-            index.add(&v);
-        }
-        self.index = IndexState::Hnsw(index);
+        self.index_embeddings(&crate::batch::encode_repository(self, repo));
     }
 
     /// [`DeepJoin::index_repository`] with up to `threads` workers for both

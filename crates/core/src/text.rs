@@ -175,50 +175,54 @@ impl Textizer {
 
     /// Contextualize `column` into a text sequence.
     pub fn transform(&self, column: &Column) -> String {
-        let cells = self.select_cells(column);
-        let col = cells.join(", ");
-        let name = column.meta.column_name.as_str();
-        let title = column.meta.table_title.as_str();
-        let context = column.meta.table_context.as_str();
-
-        match self.option {
-            TransformOption::Col => col,
-            TransformOption::ColnameCol => format!("{name}: {col}."),
-            TransformOption::ColnameColContext => format!("{name}: {col}. {context}"),
-            TransformOption::ColnameStatCol => {
-                format!("{}: {col}.", self.stat_clause(column, name))
-            }
-            TransformOption::TitleColnameCol => format!("{title}. {name}: {col}."),
-            TransformOption::TitleColnameColContext => {
-                format!("{title}. {name}: {col}. {context}")
-            }
-            TransformOption::TitleColnameStatCol => {
-                format!("{title}. {}: {col}.", self.stat_clause(column, name))
-            }
-        }
+        let mut out = String::new();
+        self.transform_into(column, &mut out);
+        out
     }
 
-    /// `$column_name$ contains $n$ values ($max$, $min$, $avg$)`.
-    fn stat_clause(&self, column: &Column, name: &str) -> String {
-        let n = column.distinct_len();
-        let (max, min, avg) = column.word_stats();
-        format!("{name} contains {n} values ({max}, {min}, {avg:.1})")
+    /// [`Self::transform`] replacing the contents of `out`, so a caller that
+    /// keeps `out` between columns pays for no `String` once it has grown.
+    pub fn transform_into(&self, column: &Column, out: &mut String) {
+        use std::fmt::Write;
+        let (cells, n) = self.select_cells(column);
+        let name = column.meta.column_name.as_str();
+        out.clear();
+        if self.option.has_title() {
+            out.extend([column.meta.table_title.as_str(), ". "]);
+        }
+        if self.option.has_stat() {
+            // `$column_name$ contains $n$ values ($max$, $min$, $avg$)`.
+            let (max, min, avg) = column.word_stats();
+            write!(out, "{name} contains {n} values ({max}, {min}, {avg:.1}): ")
+                .expect("writing to a String cannot fail");
+        } else if self.option.has_colname() {
+            out.extend([name, ": "]);
+        }
+        for (i, cell) in cells.iter().enumerate() {
+            out.extend([if i > 0 { ", " } else { "" }, cell]);
+        }
+        if self.option.has_colname() {
+            out.push('.');
+        }
+        if self.option.has_context() {
+            out.extend([" ", column.meta.table_context.as_str()]);
+        }
     }
 
     /// Distinct cells to include, truncated to the budget — by repository
     /// frequency when available (highest first, §3.2), otherwise by
-    /// first-occurrence order.
-    fn select_cells<'c>(&self, column: &'c Column) -> Vec<&'c str> {
+    /// first-occurrence order — and `$n$`, their number before truncation.
+    fn select_cells<'c>(&self, column: &'c Column) -> (Vec<&'c str>, usize) {
         let mut cells = column.distinct_in_order();
-        if cells.len() <= self.max_cells {
-            return cells;
+        let n = cells.len();
+        if n > self.max_cells {
+            if let Some(freq) = &self.freq {
+                // Stable sort keeps first-occurrence order among ties.
+                cells.sort_by_key(|c| std::cmp::Reverse(freq.get(c)));
+            }
+            cells.truncate(self.max_cells);
         }
-        if let Some(freq) = &self.freq {
-            // Stable sort keeps first-occurrence order among ties.
-            cells.sort_by_key(|c| std::cmp::Reverse(freq.get(c)));
-        }
-        cells.truncate(self.max_cells);
-        cells
+        (cells, n)
     }
 }
 
@@ -271,6 +275,38 @@ mod tests {
         let s = t.transform(&column());
         // 4 cells with word counts 1, 2, 1, 1 -> avg 1.25, printed "1.2".
         assert!(s.contains("city contains 3 values (2, 1, 1.2)"), "{s}");
+    }
+
+    /// `$n$` is the number of distinct cells before the budget cuts the
+    /// list, however often each repeats.
+    #[test]
+    fn stat_clause_counts_distinct_cells_of_a_duplicate_heavy_column() {
+        let cells = (0..300).map(|i| format!("v{}", i % 7));
+        let t = Textizer::new(TransformOption::ColnameStatCol, 3);
+        assert_eq!(
+            t.transform(&Column::from_cells(cells)),
+            " contains 7 values (1, 1, 1.0): v0, v1, v2."
+        );
+    }
+
+    #[test]
+    fn every_option_matches_its_table_1_pattern() {
+        let expect = [
+            "paris, new york, tokyo",
+            "city: paris, new york, tokyo.",
+            "city: paris, new york, tokyo. a listing of capitals",
+            "city contains 3 values (2, 1, 1.2): paris, new york, tokyo.",
+            "World capitals. city: paris, new york, tokyo.",
+            "World capitals. city: paris, new york, tokyo. a listing of capitals",
+            "World capitals. city contains 3 values (2, 1, 1.2): paris, new york, tokyo.",
+        ];
+        // One buffer across all options: `transform_into` replaces, never
+        // appends.
+        let mut out = String::from("stale");
+        for (opt, want) in TransformOption::ALL.into_iter().zip(expect) {
+            Textizer::new(opt, usize::MAX).transform_into(&column(), &mut out);
+            assert_eq!(out, want, "{opt:?}");
+        }
     }
 
     #[test]

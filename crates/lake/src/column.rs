@@ -113,7 +113,8 @@ impl Column {
     /// Distinct cells in first-occurrence order. This is the order the
     /// column-to-text transformation concatenates (`col` pattern).
     pub fn distinct_in_order(&self) -> Vec<&str> {
-        let mut seen: FxHashSet<&str> = FxHashSet::default();
+        let mut seen: FxHashSet<&str> =
+            FxHashSet::with_capacity_and_hasher(self.cells.len(), Default::default());
         let mut out = Vec::with_capacity(self.cells.len());
         for c in &self.cells {
             if seen.insert(c.as_str()) {

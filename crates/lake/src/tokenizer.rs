@@ -9,23 +9,39 @@ use serde::{Deserialize, Serialize};
 
 use crate::fxhash::FxHashMap;
 
-/// Split text into lowercase tokens: maximal runs of alphanumeric characters.
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
+/// Write `text`'s tokens — its maximal alphanumeric runs, lowercased — into
+/// `buf`, separated by single spaces (a space is never part of a run). The
+/// one tokenizing loop: every tokenizer below reads its tokens out of `buf`.
+fn lower_runs(text: &str, buf: &mut String) {
+    buf.clear();
+    let mut gap = false;
     for ch in text.chars() {
         if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
+            if gap && !buf.is_empty() {
+                buf.push(' ');
             }
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+            gap = false;
+            if ch.is_ascii() {
+                buf.push(ch.to_ascii_lowercase());
+            } else {
+                buf.extend(ch.to_lowercase());
+            }
+        } else {
+            gap = true;
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
+}
+
+/// The tokens [`lower_runs`] left in `buf`.
+fn runs(buf: &str) -> impl Iterator<Item = &str> {
+    buf.split(' ').filter(|run| !run.is_empty())
+}
+
+/// Split text into lowercase tokens: maximal runs of alphanumeric characters.
+pub fn tokenize(text: &str) -> Vec<String> {
+    let mut buf = String::new();
+    lower_runs(text, &mut buf);
+    runs(&buf).map(str::to_string).collect()
 }
 
 /// Hybrid tokenization — the miniature of PLM subword tokenization.
@@ -36,7 +52,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// scheme reproduces that: each whitespace-delimited word emits
 ///
 /// 1. its **surface token** — the word with case and inner punctuation
-///    preserved (template delimiters `,:.()` are trimmed from the edges);
+///    preserved (template delimiters `,:.;()` are trimmed from the edges);
 /// 2. its lowercase alphanumeric **subtokens**, when they differ from the
 ///    surface form.
 ///
@@ -45,22 +61,28 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Equi-trained encoders can attend to the surface tokens (exact-match
 /// identity), semantic-trained encoders to the subtokens (format-invariant
 /// content); the attention pooling decides which matters.
-pub fn tokenize_hybrid(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
+///
+/// This is the streaming form: each token is handed to `emit` in order as a
+/// `&str` borrowed from `text` or from `buf`, which is reused from word to
+/// word and call to call — no `String` per token.
+pub fn for_each_hybrid_token(text: &str, buf: &mut String, mut emit: impl FnMut(&str)) {
     for raw in text.split_whitespace() {
         let surface = raw.trim_matches(|c: char| matches!(c, ',' | ':' | '.' | ';' | '(' | ')'));
         if surface.is_empty() {
             continue;
         }
-        out.push(surface.to_string());
-        // Lowercase alphanumeric subtokens.
-        let subs = tokenize(surface);
-        if !(subs.len() == 1 && subs[0] == surface) {
-            for s in subs {
-                out.push(s);
-            }
+        emit(surface);
+        lower_runs(surface, buf);
+        if buf.as_str() != surface {
+            runs(buf).for_each(&mut emit);
         }
     }
+}
+
+/// [`for_each_hybrid_token`] collected into owned tokens.
+pub fn tokenize_hybrid(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_hybrid_token(text, &mut String::new(), |tok| out.push(tok.to_string()));
     out
 }
 
@@ -96,13 +118,13 @@ impl Vocabulary {
     /// occur at least `min_count` times. Ids are assigned in descending
     /// frequency order (ties broken lexicographically) for determinism.
     pub fn build<'a, I: IntoIterator<Item = &'a str>>(texts: I, min_count: u64) -> Self {
-        Self::build_tokenized(texts.into_iter().map(tokenize), min_count)
+        Self::from_tokens(texts.into_iter().flat_map(tokenize), min_count)
     }
 
     /// Build from texts using the hybrid (surface + subtoken) scheme of
     /// [`tokenize_hybrid`].
     pub fn build_hybrid<'a, I: IntoIterator<Item = &'a str>>(texts: I, min_count: u64) -> Self {
-        Self::build_tokenized(texts.into_iter().map(tokenize_hybrid), min_count)
+        Self::from_tokens(texts.into_iter().flat_map(tokenize_hybrid), min_count)
     }
 
     /// Rebuild a vocabulary from `(token, count)` pairs **in id order**
@@ -119,26 +141,17 @@ impl Vocabulary {
         v
     }
 
-    /// Build from pre-tokenized token lists.
-    pub fn build_tokenized<I: IntoIterator<Item = Vec<String>>>(lists: I, min_count: u64) -> Self {
+    /// Ids by descending count (ties lexicographic) over the tokens seen at
+    /// least `min_count` times.
+    fn from_tokens(tokens: impl Iterator<Item = String>, min_count: u64) -> Self {
         let mut freq: FxHashMap<String, u64> = FxHashMap::default();
-        for toks in lists {
-            for tok in toks {
-                *freq.entry(tok).or_insert(0) += 1;
-            }
+        for tok in tokens {
+            *freq.entry(tok).or_insert(0) += 1;
         }
         let mut entries: Vec<(String, u64)> =
             freq.into_iter().filter(|(_, c)| *c >= min_count).collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-
-        let mut v = Self::new();
-        for (tok, count) in entries {
-            let id = v.id_to_token.len() as TokenId;
-            v.token_to_id.insert(tok.clone(), id);
-            v.id_to_token.push(tok);
-            v.counts.push(count);
-        }
-        v
+        Self::from_id_order(entries)
     }
 
     /// Number of tokens including `<unk>`.
@@ -171,37 +184,49 @@ impl Vocabulary {
         tokenize(text).iter().map(|t| self.id(t)).collect()
     }
 
-    /// Encode text with hash-bucket fallback: out-of-vocabulary tokens map
-    /// deterministically to one of `buckets` reserved ids in
+    /// Id of `token` with hash-bucket fallback: an out-of-vocabulary token
+    /// maps deterministically to one of `buckets` reserved ids in
     /// `[len(), len() + buckets)` instead of `UNK`.
     ///
     /// This is the "hashing trick" fastText uses for its n-gram table: two
     /// occurrences of the same unseen word still receive the same id, so the
     /// encoder keeps an *identity* signal for cell values never seen during
     /// training — essential for equi-joins over a large test repository.
-    pub fn encode_bucketed(&self, text: &str, buckets: u32) -> Vec<TokenId> {
-        self.encode_tokens_bucketed(&tokenize(text), buckets)
-    }
-
-    /// Hybrid-tokenized variant of [`Self::encode_bucketed`].
-    pub fn encode_hybrid_bucketed(&self, text: &str, buckets: u32) -> Vec<TokenId> {
-        self.encode_tokens_bucketed(&tokenize_hybrid(text), buckets)
-    }
-
-    /// Bucket-encode pre-tokenized tokens (see [`Self::encode_bucketed`]).
-    pub fn encode_tokens_bucketed(&self, tokens: &[String], buckets: u32) -> Vec<TokenId> {
+    fn bucketed_id(&self, token: &str, buckets: u32) -> TokenId {
         assert!(buckets > 0, "need at least one bucket");
-        let base = self.len() as TokenId;
-        tokens
-            .iter()
-            .map(|t| match self.token_to_id.get(t) {
-                Some(&id) => id,
-                None => {
-                    let h = crate::fxhash::hash_bytes(t.as_bytes());
-                    base + (h % buckets as u64) as TokenId
-                }
-            })
-            .collect()
+        match self.token_to_id.get(token) {
+            Some(&id) => id,
+            None => {
+                let h = crate::fxhash::hash_bytes(token.as_bytes());
+                self.len() as TokenId + (h % buckets as u64) as TokenId
+            }
+        }
+    }
+
+    /// Encode text to [`Self::bucketed_id`]s.
+    pub fn encode_bucketed(&self, text: &str, buckets: u32) -> Vec<TokenId> {
+        tokenize(text).iter().map(|tok| self.bucketed_id(tok, buckets)).collect()
+    }
+
+    /// Hybrid-tokenized variant of [`Self::encode_bucketed`], replacing the
+    /// contents of `ids`; `buf` is the tokenizer's scratch. Neither
+    /// allocates once grown to the text at hand.
+    pub fn encode_hybrid_bucketed_into(
+        &self,
+        text: &str,
+        buckets: u32,
+        buf: &mut String,
+        ids: &mut Vec<TokenId>,
+    ) {
+        ids.clear();
+        for_each_hybrid_token(text, buf, |tok| ids.push(self.bucketed_id(tok, buckets)));
+    }
+
+    /// [`Self::encode_hybrid_bucketed_into`] into a fresh vector.
+    pub fn encode_hybrid_bucketed(&self, text: &str, buckets: u32) -> Vec<TokenId> {
+        let mut ids = Vec::new();
+        self.encode_hybrid_bucketed_into(text, buckets, &mut String::new(), &mut ids);
+        ids
     }
 }
 
@@ -291,6 +316,96 @@ mod tests {
         assert_eq!(ids[0], v.id("Fort_Kelso"));
         // OOV surface + subtokens land in buckets.
         assert!(ids[3] >= v.len() as TokenId);
+    }
+
+    /// The parent's collecting tokenizer, kept as the reference the
+    /// streaming one must reproduce token for token.
+    fn reference_tokenize(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut cur = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                cur.extend(ch.to_lowercase());
+            } else if !cur.is_empty() {
+                out.push(std::mem::take(&mut cur));
+            }
+        }
+        if !cur.is_empty() {
+            out.push(cur);
+        }
+        out
+    }
+
+    fn reference_tokenize_hybrid(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for raw in text.split_whitespace() {
+            let surface =
+                raw.trim_matches(|c: char| matches!(c, ',' | ':' | '.' | ';' | '(' | ')'));
+            if surface.is_empty() {
+                continue;
+            }
+            out.push(surface.to_string());
+            let subs = reference_tokenize(surface);
+            if !(subs.len() == 1 && subs[0] == surface) {
+                out.extend(subs);
+            }
+        }
+        out
+    }
+
+    /// Random text over everything the tokenizer branches on: ASCII of both
+    /// cases, digits, template punctuation (trimmed), inner punctuation
+    /// (kept), `İ`/`ẞ` (lowercase to two chars, one not alphanumeric / to a
+    /// different char), CJK, a combining mark, and ASCII and Unicode spaces.
+    #[test]
+    fn streaming_tokenizers_match_the_reference_on_random_text() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ALPHABET: &[char] = &[
+            'a', 'b', 'z', 'A', 'Q', 'Z', '0', '7', '9', ',', ':', '.', ';', '(', ')', '_', '-',
+            '@', 'İ', 'ẞ', 'é', 'Σ', '東', '京', '\u{307}', ' ', ' ', '\t', '\n', '\u{a0}',
+            '\u{3000}',
+        ];
+        let mut rng = StdRng::seed_from_u64(0x70CE);
+        let texts: Vec<String> = (0..2000)
+            .map(|_| {
+                let len = rng.gen_range(0..40usize);
+                (0..len)
+                    .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+                    .collect()
+            })
+            .collect();
+        // Half of the tokens known, half out of vocabulary.
+        let vocab = Vocabulary::build_hybrid(texts.iter().step_by(2).map(String::as_str), 1);
+        let (mut buf, mut ids) = (String::from("stale"), vec![UNK; 3]);
+        for text in &texts {
+            assert_eq!(tokenize(text), reference_tokenize(text), "{text:?}");
+            let want = reference_tokenize_hybrid(text);
+            assert_eq!(tokenize_hybrid(text), want, "{text:?}");
+
+            let want_ids: Vec<TokenId> = want
+                .iter()
+                .map(|tok| match vocab.id(tok) {
+                    UNK => {
+                        let h = crate::fxhash::hash_bytes(tok.as_bytes());
+                        vocab.len() as TokenId + (h % 64) as TokenId
+                    }
+                    id => id,
+                })
+                .collect();
+            vocab.encode_hybrid_bucketed_into(text, 64, &mut buf, &mut ids);
+            assert_eq!(ids, want_ids, "{text:?}");
+            assert_eq!(vocab.encode_hybrid_bucketed(text, 64), want_ids, "{text:?}");
+        }
+        assert!(texts.iter().any(|t| vocab
+            .encode_hybrid_bucketed(t, 64)
+            .iter()
+            .any(|&id| id >= vocab.len() as TokenId)));
+        // The vocabulary build counts what the reference tokenizer produces.
+        let reference = texts.iter().step_by(2).flat_map(|t| reference_tokenize_hybrid(t));
+        let rebuilt = Vocabulary::from_tokens(reference, 1);
+        assert_eq!(rebuilt.id_to_token, vocab.id_to_token);
+        assert_eq!(rebuilt.counts, vocab.counts);
     }
 
     #[test]

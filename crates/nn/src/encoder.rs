@@ -97,14 +97,33 @@ impl EncoderConfig {
     }
 }
 
-/// Cached per-sequence state from the last `encode_batch` call.
+/// Per-sequence forward state: everything [`ColumnEncoder::forward`]
+/// computes on the way to the output, which is also everything `backward`
+/// reads. `encode` keeps one per thread as scratch, `encode_batch` one per
+/// sequence.
+#[derive(Default)]
 struct SeqCache {
     tokens: Vec<TokenId>,
     /// Token vectors after embedding (+ positions), `len x dim`.
     t: Matrix,
-    /// Attention internals (empty for mean pooling).
+    /// Pooling weights, `len`: the attention softmax, or `1/len` for mean.
     alpha: Vec<f32>,
+    /// Attention scorer output `tanh(t·W + b)` (empty for mean pooling).
     u: Matrix,
+    /// `Σ αᵢ tᵢ`, `dim`.
+    pooled: Vec<f32>,
+    /// Head hidden layer `tanh(h1(pooled))`, `dim`.
+    mid: Vec<f32>,
+}
+
+/// Run `f` with this thread's forward scratch (the `ann::hnsw` idiom). It
+/// grows to the longest sequence seen — at most `max_len x dim` token rows,
+/// 64 KiB at the defaults — on threads that embed, i.e. pool workers.
+fn with_scratch<R>(f: impl FnOnce(&mut SeqCache) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<SeqCache> = std::cell::RefCell::default();
+    }
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// The column encoder.
@@ -126,8 +145,6 @@ pub struct ColumnEncoder {
     /// Projection head: Linear → tanh → Linear.
     h1: Linear,
     h2: Linear,
-    /// Cached tanh output between h1 and h2 (for backward).
-    head_mid: Option<Matrix>,
     /// Sparse gradients for the embedding table: row -> grad.
     pub embedding_grads: FxHashMap<TokenId, Vec<f32>>,
     cache: Vec<SeqCache>,
@@ -157,7 +174,6 @@ impl ColumnEncoder {
             g_attn_v: vec![0.0; config.attn_hidden],
             h1: Linear::new(config.dim, config.dim, config.seed ^ 0xA1),
             h2: Linear::new(config.dim, config.out_dim, config.seed ^ 0xA2),
-            head_mid: None,
             embedding_grads: FxHashMap::default(),
             cache: Vec::new(),
             config,
@@ -177,54 +193,94 @@ impl ColumnEncoder {
         self.embedding.data[..table.len()].copy_from_slice(table);
     }
 
-    /// Encode one sequence without caching (inference path). `&self` so it
-    /// can run concurrently from several threads.
+    /// Encode one sequence into `out` (`out_dim` long) without touching the
+    /// heap once this thread's scratch has grown to the sequence length.
+    /// `&self`, so it can run concurrently from several threads.
+    pub fn encode_into(&self, tokens: &[TokenId], out: &mut [f32]) {
+        with_scratch(|c| self.forward(tokens, c, out));
+    }
+
+    /// [`Self::encode_into`] into a fresh vector.
     pub fn encode(&self, tokens: &[TokenId]) -> Vec<f32> {
-        let t = self.embed_tokens(tokens);
-        let pooled = match self.config.pooling {
-            Pooling::Mean => mean_pool(&t),
-            Pooling::Attention => {
-                let (pooled, _, _) = self.attention_pool(&t);
-                pooled
-            }
-        };
-        self.head_infer(&pooled)
+        let mut out = vec![0.0; self.config.out_dim];
+        self.encode_into(tokens, &mut out);
+        out
     }
 
     /// Encode a batch with caching for a following [`Self::backward`] call.
     /// Returns the `N x out_dim` output matrix.
     pub fn encode_batch(&mut self, seqs: &[Vec<TokenId>]) -> Matrix {
-        self.cache.clear();
         let dim = self.config.dim;
         let mut pooled = Matrix::zeros(seqs.len(), dim);
+        let mut mid = Matrix::zeros(seqs.len(), dim);
+        let mut out = Matrix::zeros(seqs.len(), self.config.out_dim);
+        self.cache.clear();
         for (n, seq) in seqs.iter().enumerate() {
-            let tokens: Vec<TokenId> =
-                seq.iter().copied().take(self.config.max_len).collect();
-            let t = self.embed_tokens(&tokens);
-            let (p, alpha, u) = match self.config.pooling {
-                Pooling::Mean => (mean_pool(&t), Vec::new(), Matrix::zeros(0, 0)),
-                Pooling::Attention => self.attention_pool(&t),
-            };
-            pooled.row_mut(n).copy_from_slice(&p);
-            self.cache.push(SeqCache {
-                tokens,
-                t,
-                alpha,
-                u,
-            });
+            let mut c = SeqCache::default();
+            self.forward(seq, &mut c, out.row_mut(n));
+            pooled.row_mut(n).copy_from_slice(&c.pooled);
+            mid.row_mut(n).copy_from_slice(&c.mid);
+            self.cache.push(c);
         }
-        // Head: Linear → tanh → Linear (+ optional residual), caching the
-        // tanh output.
-        let mut mid = self.h1.forward(&pooled);
-        for v in &mut mid.data {
-            *v = v.tanh();
-        }
-        self.head_mid = Some(mid.clone());
-        let mut out = self.h2.forward(&mid);
-        if self.config.residual {
-            out.add_assign(&pooled);
-        }
+        // What `backward` reads besides the sequences: each head layer's
+        // input (`h2`'s is the tanh output between the two).
+        self.h1.cache_x = Some(pooled);
+        self.h2.cache_x = Some(mid);
         out
+    }
+
+    /// The forward pass — the only one: token rows (+ positions) → pooling
+    /// weights → pooled vector → `Linear → tanh → Linear` head (+ residual),
+    /// every stage left in `c`, the result in `out`. Input beyond `max_len`
+    /// tokens is ignored; an empty sequence pools to the zero vector.
+    fn forward(&self, tokens: &[TokenId], c: &mut SeqCache, out: &mut [f32]) {
+        let EncoderConfig { dim, attn_hidden, vocab_size, .. } = self.config;
+        let len = tokens.len().min(self.config.max_len);
+        c.tokens.clear();
+        c.tokens.extend_from_slice(&tokens[..len]);
+        c.t.resize(len, dim);
+        for (i, &tok) in c.tokens.iter().enumerate() {
+            c.t.row_mut(i).copy_from_slice(self.embedding.row(tok as usize % vocab_size));
+        }
+        if self.config.use_positions {
+            deepjoin_simd::axpy(&mut c.t.data, &self.positions.data[..len * dim], 1.0);
+        }
+
+        c.alpha.clear();
+        match self.config.pooling {
+            Pooling::Mean => c.alpha.resize(len, 1.0 / len as f32),
+            Pooling::Attention => {
+                // u = tanh(t·W + b); scoreᵢ = v·uᵢ; α = softmax(score).
+                c.alpha.resize(len, 0.0);
+                c.u.resize(len, attn_hidden);
+                deepjoin_simd::gemm(
+                    &c.t.data,
+                    &self.attn_w.data,
+                    Some(&self.attn_b),
+                    attn_hidden,
+                    &mut c.u.data,
+                );
+                deepjoin_simd::tanh_inplace(&mut c.u.data);
+                deepjoin_simd::dot_block(&self.attn_v, &c.u.data, &mut c.alpha);
+                let max = c.alpha.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                c.alpha.iter_mut().for_each(|s| *s = (*s - max).exp());
+                let z: f32 = c.alpha.iter().sum();
+                if z > 0.0 {
+                    c.alpha.iter_mut().for_each(|a| *a /= z);
+                }
+            }
+        }
+        // pooled = Σ αᵢ tᵢ, a 1 x len by len x dim product.
+        c.pooled.resize(dim, 0.0);
+        deepjoin_simd::gemm(&c.alpha, &c.t.data, None, dim, &mut c.pooled);
+
+        c.mid.resize(dim, 0.0);
+        deepjoin_simd::gemm(&c.pooled, &self.h1.w.data, Some(&self.h1.b), dim, &mut c.mid);
+        deepjoin_simd::tanh_inplace(&mut c.mid);
+        deepjoin_simd::gemm(&c.mid, &self.h2.w.data, Some(&self.h2.b), out.len(), out);
+        if self.config.residual {
+            deepjoin_simd::axpy(out, &c.pooled, 1.0);
+        }
     }
 
     /// Backpropagate `dL/d(output)` from the last `encode_batch`, routing
@@ -234,7 +290,7 @@ impl ColumnEncoder {
         assert_eq!(grad_out.rows, self.cache.len(), "stale cache");
         // Head backward: h2 → tanh → h1.
         let mut d_mid = self.h2.backward(grad_out);
-        let mid = self.head_mid.as_ref().expect("backward before forward");
+        let mid = self.h2.cache_x.as_ref().expect("backward before forward");
         for (g, &y) in d_mid.data.iter_mut().zip(&mid.data) {
             *g *= 1.0 - y * y;
         }
@@ -408,110 +464,6 @@ impl ColumnEncoder {
         self.g_attn_v.iter_mut().for_each(|g| *g = 0.0);
         self.embedding_grads.clear();
     }
-
-    // -- internals ----------------------------------------------------------
-
-    /// Token vectors with optional positional addition, `len x dim`.
-    fn embed_tokens(&self, tokens: &[TokenId]) -> Matrix {
-        let dim = self.config.dim;
-        let len = tokens.len().min(self.config.max_len);
-        let mut t = Matrix::zeros(len.max(1), dim);
-        if tokens.is_empty() {
-            // An empty sequence embeds as the zero token-vector row so the
-            // pipeline stays total; callers rarely hit this (columns have
-            // ≥ 5 cells).
-            return t;
-        }
-        for (i, &tok) in tokens.iter().take(len).enumerate() {
-            let row = self.embedding.row(tok as usize % self.config.vocab_size);
-            let dst = t.row_mut(i);
-            dst.copy_from_slice(row);
-            if self.config.use_positions {
-                for (d, &p) in dst.iter_mut().zip(self.positions.row(i)) {
-                    *d += p;
-                }
-            }
-        }
-        t
-    }
-
-    /// Attention pooling forward. Returns `(pooled, alpha, u)`.
-    fn attention_pool(&self, t: &Matrix) -> (Vec<f32>, Vec<f32>, Matrix) {
-        let len = t.rows;
-        let dim = self.config.dim;
-        // u = tanh(t @ W + b): len x attn_hidden
-        let mut u = t.matmul(&self.attn_w);
-        for r in 0..len {
-            let row = u.row_mut(r);
-            for (x, b) in row.iter_mut().zip(&self.attn_b) {
-                *x = (*x + b).tanh();
-            }
-        }
-        // scores and softmax
-        let mut scores = vec![0f32; len];
-        for i in 0..len {
-            scores[i] = u.row(i).iter().zip(&self.attn_v).map(|(a, b)| a * b).sum();
-        }
-        let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut alpha: Vec<f32> = scores.iter().map(|s| (s - max).exp()).collect();
-        let z: f32 = alpha.iter().sum();
-        if z > 0.0 {
-            alpha.iter_mut().for_each(|a| *a /= z);
-        }
-        // pooled = Σ αᵢ tᵢ
-        let mut pooled = vec![0f32; dim];
-        for i in 0..len {
-            let trow = t.row(i);
-            for (p, &v) in pooled.iter_mut().zip(trow) {
-                *p += alpha[i] * v;
-            }
-        }
-        (pooled, alpha, u)
-    }
-
-    /// Pure-inference head application (no caching, `&self`).
-    fn head_infer(&self, pooled: &[f32]) -> Vec<f32> {
-        let mut mid = linear_infer(&self.h1, pooled);
-        mid.iter_mut().for_each(|x| *x = x.tanh());
-        let mut out = linear_infer(&self.h2, &mid);
-        if self.config.residual {
-            for (o, &p) in out.iter_mut().zip(pooled) {
-                *o += p;
-            }
-        }
-        out
-    }
-}
-
-/// Mean of a matrix's rows (zero vector for an all-zero/empty matrix).
-fn mean_pool(t: &Matrix) -> Vec<f32> {
-    let mut out = vec![0f32; t.cols];
-    if t.rows == 0 {
-        return out;
-    }
-    for r in 0..t.rows {
-        for (o, &v) in out.iter_mut().zip(t.row(r)) {
-            *o += v;
-        }
-    }
-    let inv = 1.0 / t.rows as f32;
-    out.iter_mut().for_each(|x| *x *= inv);
-    out
-}
-
-/// Apply a [`Linear`] layer to one row without touching its cache.
-fn linear_infer(lin: &Linear, x: &[f32]) -> Vec<f32> {
-    let mut out = lin.b.clone();
-    for (r, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let wrow = lin.w.row(r);
-        for (o, &w) in out.iter_mut().zip(wrow) {
-            *o += xv * w;
-        }
-    }
-    out
 }
 
 /// Optimizer for the encoder: AdamW over dense params + lazy Adam over the

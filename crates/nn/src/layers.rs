@@ -35,8 +35,9 @@ pub struct Linear {
     pub b: Vec<f32>,
     gw: Matrix,
     gb: Vec<f32>,
+    /// The last forward input, which `backward` differentiates against.
     #[serde(skip)]
-    cache_x: Option<Matrix>,
+    pub(crate) cache_x: Option<Matrix>,
 }
 
 impl Linear {

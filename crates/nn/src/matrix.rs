@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
@@ -54,6 +54,14 @@ impl Matrix {
             .map(|_| rng.gen_range(-bound..bound))
             .collect();
         Self { rows, cols, data }
+    }
+
+    /// Reshape to `rows x cols`, reusing the allocation; contents are
+    /// unspecified (zero where the matrix grew).
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Immutable row view.

@@ -6,6 +6,10 @@
 //! products through this crate, so one dispatch decision accelerates the
 //! whole system.
 //!
+//! Besides the distance kernels the crate carries the column encoder's two
+//! forward kernels: a small row-major [`gemm`] (outputs held in registers,
+//! broadcast-FMA over the inner dimension) and a rational [`tanh_inplace`].
+//!
 //! Three implementations of each kernel exist:
 //!
 //! * **scalar** — the straight-line reference (`iter().zip()` chains), kept
@@ -90,6 +94,22 @@ pub fn force_kernel(kernel: Option<Kernel>) {
     FORCED.store(tag, Ordering::Relaxed);
 }
 
+/// Rational `tanh`: `x·P(x²)/Q(x²)` on the clamped input, coefficients
+/// high-order first (the minimax fit Eigen uses for its float `tanh`).
+/// Beyond the clamp `tanh` is 1 to within half an ulp; the fit never
+/// exceeds 1 inside it.
+const TANH_CLAMP: f32 = 7.905311;
+const TANH_P: [f32; 7] = [
+    -2.7607684e-16,
+    2.000188e-13,
+    -8.604672e-11,
+    5.1222973e-8,
+    1.48572235e-5,
+    6.3726195e-4,
+    4.8935246e-3,
+];
+const TANH_Q: [f32; 4] = [1.1982584e-6, 1.1853471e-4, 2.2684347e-3, 4.893525e-3];
+
 /// Scalar reference kernels — the parity oracle for the optimized paths.
 pub mod scalar {
     /// Dot product.
@@ -154,6 +174,32 @@ pub mod scalar {
                 d * d
             })
             .sum()
+    }
+
+    /// `out = a·w (+ bias)`, all row-major: `a` is `m×k`, `w` is `k×n`,
+    /// `out` is `m×n` (shapes checked by [`super::gemm_with`]).
+    pub fn gemm(a: &[f32], w: &[f32], bias: Option<&[f32]>, n: usize, out: &mut [f32]) {
+        let k = w.len() / n;
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            match bias {
+                Some(b) => o_row.copy_from_slice(b),
+                None => o_row.fill(0.0),
+            }
+            for (p, &x) in a[i * k..(i + 1) * k].iter().enumerate() {
+                axpy(o_row, &w[p * n..(p + 1) * n], x);
+            }
+        }
+    }
+
+    /// Rational `tanh` of one value (see [`super::tanh_inplace`]).
+    #[inline]
+    pub fn tanh(x: f32) -> f32 {
+        // `clamp` keeps NaN, unlike `min`/`max`.
+        let x = x.clamp(-super::TANH_CLAMP, super::TANH_CLAMP);
+        let x2 = x * x;
+        let p = super::TANH_P.iter().fold(0.0, |acc, &c| acc * x2 + c) * x;
+        let q = super::TANH_Q.iter().fold(0.0, |acc, &c| acc * x2 + c);
+        p / q
     }
 }
 
@@ -279,6 +325,36 @@ mod portable {
             sum += d * d;
         }
         sum
+    }
+
+    /// Row-major `a·w (+ bias)` in 8-column blocks: the 8 outputs of a block
+    /// accumulate in a local array across the whole inner dimension.
+    pub fn gemm(a: &[f32], w: &[f32], bias: Option<&[f32]>, n: usize, out: &mut [f32]) {
+        let k = w.len() / n;
+        let n8 = n - n % 8;
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[i * k..(i + 1) * k];
+            for j in (0..n8).step_by(8) {
+                let mut acc = [0f32; 8];
+                if let Some(b) = bias {
+                    acc.copy_from_slice(&b[j..j + 8]);
+                }
+                for (p, &x) in a_row.iter().enumerate() {
+                    let w8 = &w[p * n + j..p * n + j + 8];
+                    for c in 0..8 {
+                        acc[c] += x * w8[c];
+                    }
+                }
+                o_row[j..j + 8].copy_from_slice(&acc);
+            }
+            for j in n8..n {
+                let mut acc = bias.map_or(0.0, |b| b[j]);
+                for (p, &x) in a_row.iter().enumerate() {
+                    acc += x * w[p * n + j];
+                }
+                o_row[j] = acc;
+            }
+        }
     }
 }
 
@@ -722,6 +798,164 @@ mod avx2 {
             r += 1;
         }
     }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
+        if MASKED {
+            _mm256_maskload_ps(p, mask)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// One `R`-row × `8·C`-column block of [`gemm`]. The `R·C` accumulators
+    /// stay in registers across the whole inner dimension: each step
+    /// broadcasts one `a` value per row and FMAs it against `C` vectors of
+    /// `w`'s row. Every output is `bias + Σₚ` in `p` order, so the bits do
+    /// not depend on the blocking. `MASKED` confines all `w`/`bias`/`out`
+    /// accesses to the lanes set in `mask` (the last `n % 8` columns).
+    ///
+    /// # Safety
+    /// `a` must be readable for `R` rows of stride `k`; `w` for `k` rows of
+    /// stride `n` and `out` writable for `R` rows of stride `n`, each
+    /// `8·C` wide (or the `mask` lanes wide); `bias`, when given, as wide.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_block<const R: usize, const C: usize, const MASKED: bool>(
+        a: *const f32,
+        k: usize,
+        w: *const f32,
+        bias: Option<*const f32>,
+        n: usize,
+        out: *mut f32,
+        mask: __m256i,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        if let Some(b) = bias {
+            for c in 0..C {
+                let v = load::<MASKED>(b.add(8 * c), mask);
+                for row in &mut acc {
+                    row[c] = v;
+                }
+            }
+        }
+        for p in 0..k {
+            let mut wv = [_mm256_setzero_ps(); C];
+            for c in 0..C {
+                wv[c] = load::<MASKED>(w.add(p * n + 8 * c), mask);
+            }
+            for r in 0..R {
+                let x = _mm256_set1_ps(*a.add(r * k + p));
+                for c in 0..C {
+                    acc[r][c] = _mm256_fmadd_ps(x, wv[c], acc[r][c]);
+                }
+            }
+        }
+        for r in 0..R {
+            for c in 0..C {
+                let dst = out.add(r * n + 8 * c);
+                if MASKED {
+                    _mm256_maskstore_ps(dst, mask, acc[r][c]);
+                } else {
+                    _mm256_storeu_ps(dst, acc[r][c]);
+                }
+            }
+        }
+    }
+
+    /// All `m` rows of the column block starting at `j`: `R` rows at a
+    /// time, the remainder one by one.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_cols<const R: usize, const C: usize, const MASKED: bool>(
+        a: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        n: usize,
+        out: &mut [f32],
+        j: usize,
+        mask: __m256i,
+    ) {
+        let (k, m) = (w.len() / n, out.len() / n);
+        // SAFETY (both calls): `gemm_with` checked `a` is `m×k`, `w` is
+        // `k×n`, `out` is `m×n` and `bias` is `n` long; the caller picked
+        // `j + 8·C ≤ n`, or `mask` covering exactly the columns `j..n`.
+        let (pa, pw, po) = (a.as_ptr(), w.as_ptr().add(j), out.as_mut_ptr().add(j));
+        let pb = bias.map(|b| b.as_ptr().add(j));
+        let mut i = 0;
+        while i + R <= m {
+            gemm_block::<R, C, MASKED>(pa.add(i * k), k, pw, pb, n, po.add(i * n), mask);
+            i += R;
+        }
+        while i < m {
+            gemm_block::<1, C, MASKED>(pa.add(i * k), k, pw, pb, n, po.add(i * n), mask);
+            i += 1;
+        }
+    }
+
+    /// Row-major `a·w (+ bias)`: column blocks from 64 wide down to the
+    /// masked tail, always with `R·C = 8` accumulators in flight — enough
+    /// independent FMA chains to cover the FMA latency at any width.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm(a: &[f32], w: &[f32], bias: Option<&[f32]>, n: usize, out: &mut [f32]) {
+        let none = _mm256_setzero_si256();
+        let mut j = 0;
+        while n - j >= 64 {
+            gemm_cols::<1, 8, false>(a, w, bias, n, out, j, none);
+            j += 64;
+        }
+        if n - j >= 32 {
+            gemm_cols::<2, 4, false>(a, w, bias, n, out, j, none);
+            j += 32;
+        }
+        if n - j >= 16 {
+            gemm_cols::<4, 2, false>(a, w, bias, n, out, j, none);
+            j += 16;
+        }
+        if n - j >= 8 {
+            gemm_cols::<8, 1, false>(a, w, bias, n, out, j, none);
+            j += 8;
+        }
+        if j < n {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j) as i32), lanes);
+            gemm_cols::<8, 1, true>(a, w, bias, n, out, j, mask);
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        // Constant first: `min`/`max` return the second operand when either
+        // is NaN, so NaN lanes stay NaN.
+        let x = _mm256_min_ps(_mm256_set1_ps(super::TANH_CLAMP), x);
+        let x = _mm256_max_ps(_mm256_set1_ps(-super::TANH_CLAMP), x);
+        let x2 = _mm256_mul_ps(x, x);
+        let mut p = _mm256_setzero_ps();
+        for c in super::TANH_P {
+            p = _mm256_fmadd_ps(p, x2, _mm256_set1_ps(c));
+        }
+        let mut q = _mm256_setzero_ps();
+        for c in super::TANH_Q {
+            q = _mm256_fmadd_ps(q, x2, _mm256_set1_ps(c));
+        }
+        _mm256_div_ps(_mm256_mul_ps(p, x), q)
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn tanh_inplace(x: &mut [f32]) {
+        let mut chunks = x.chunks_exact_mut(8);
+        for c in &mut chunks {
+            // SAFETY: `c` is exactly 8 floats.
+            _mm256_storeu_ps(c.as_mut_ptr(), tanh8(_mm256_loadu_ps(c.as_ptr())));
+        }
+        let tail = chunks.into_remainder();
+        let mut buf = [0f32; 8];
+        buf[..tail.len()].copy_from_slice(tail);
+        // SAFETY: `buf` is exactly 8 floats.
+        _mm256_storeu_ps(buf.as_mut_ptr(), tanh8(_mm256_loadu_ps(buf.as_ptr())));
+        tail.copy_from_slice(&buf[..tail.len()]);
+    }
 }
 
 /// Dot product with an explicitly chosen kernel (parity tests; prefer
@@ -976,6 +1210,59 @@ pub fn l2_sq_f32u8_block(t: &[f32], s: &[f32], codes: &[u8], out: &mut [f32]) {
     }
 }
 
+/// [`gemm`] with an explicitly chosen kernel (parity tests).
+pub fn gemm_with(
+    kernel: Kernel,
+    a: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    n: usize,
+    out: &mut [f32],
+) {
+    assert!(n > 0 && w.len().is_multiple_of(n), "row-major shape mismatch");
+    assert!(out.len().is_multiple_of(n), "row-major shape mismatch");
+    assert_eq!(a.len(), out.len() / n * (w.len() / n), "row-major shape mismatch");
+    assert!(bias.is_none_or(|b| b.len() == n), "bias length mismatch");
+    match kernel {
+        Kernel::Scalar => scalar::gemm(a, w, bias, n, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: callers name `Avx2` only when `available_kernels()` lists
+        // it (`active_kernel` takes it from the CPUID probe); the shapes
+        // `avx2::gemm` indexes by were checked above.
+        Kernel::Avx2 => unsafe { avx2::gemm(a, w, bias, n, out) },
+        _ => portable::gemm(a, w, bias, n, out),
+    }
+}
+
+/// Row-major `out = a·w (+ bias)` (runtime-dispatched): `w` is `k×n`, `a`
+/// is `m×k`, `out` is `m×n`, with `k` and `m` taken from the slice lengths.
+/// Built for the column encoder's shapes — `n ≤ 64` outputs stay in
+/// registers while the kernel broadcast-FMAs over `k` — but correct for
+/// any. For a fixed kernel every output is `bias + Σₚ a[i][p]·w[p][j]`
+/// summed in `p` order, whatever `m` is.
+pub fn gemm(a: &[f32], w: &[f32], bias: Option<&[f32]>, n: usize, out: &mut [f32]) {
+    gemm_with(active_kernel(), a, w, bias, n, out);
+}
+
+/// [`tanh_inplace`] with an explicitly chosen kernel (parity tests).
+pub fn tanh_inplace_with(kernel: Kernel, x: &mut [f32]) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_with`; any slice is a valid input.
+        Kernel::Avx2 => unsafe { avx2::tanh_inplace(x) },
+        // The scalar form already autovectorizes; no separate portable tier.
+        _ => x.iter_mut().for_each(|v| *v = scalar::tanh(*v)),
+    }
+}
+
+/// `x[i] = tanh(x[i])` (runtime-dispatched) by a rational approximation,
+/// 8 lanes at a time: within 5e-7 of `f32::tanh` everywhere, exactly odd,
+/// never beyond ±1, NaN in → NaN out. Not monotone to the last ulp —
+/// neighbouring inputs can come back up to 5e-7 out of order.
+pub fn tanh_inplace(x: &mut [f32]) {
+    tanh_inplace_with(active_kernel(), x);
+}
+
 /// The kernels available on this machine (always includes scalar and
 /// portable; AVX2 only when detected).
 pub fn available_kernels() -> Vec<Kernel> {
@@ -1210,6 +1497,127 @@ mod tests {
                         wl.max(mag * 0.02),
                         &format!("l2_sq_f32u8_block dim {dim} row {r}"),
                     );
+                }
+            }
+        }
+    }
+
+    /// A buffer of `len` random floats starting one float past its
+    /// allocation's start, so the slice is never 32-byte aligned.
+    fn unaligned(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        (0..len + 1).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    /// ROADMAP 5c: every tier of the GEMM against the scalar tier, at the
+    /// encoder's shapes and around them (a lone row, an odd row count that
+    /// leaves every row-block remainder, one column, a masked tail, widths
+    /// that chain several column blocks), on unaligned slices.
+    #[test]
+    fn gemm_tiers_match_scalar() {
+        let mut rng = StdRng::seed_from_u64(71);
+        for &(k, n) in &[(64, 1), (64, 7), (64, 32), (64, 64), (64, 100), (5, 13), (0, 9)] {
+            for &m in &[0usize, 1, 3, 56, 256] {
+                let (a, w, b) = (
+                    unaligned(m * k, &mut rng),
+                    unaligned(k * n, &mut rng),
+                    unaligned(n, &mut rng),
+                );
+                let (a, w, b) = (&a[1..], &w[1..], &b[1..]);
+                for bias in [None, Some(b)] {
+                    let mut want = vec![f32::NAN; m * n + 1];
+                    gemm_with(Kernel::Scalar, a, w, bias, n, &mut want[1..]);
+                    for kernel in available_kernels() {
+                        let mut got = vec![f32::NAN; m * n + 1];
+                        gemm_with(kernel, a, w, bias, n, &mut got[1..]);
+                        for (i, (g, w)) in got[1..].iter().zip(&want[1..]).enumerate() {
+                            assert!(
+                                (g - w).abs() <= 1e-5 * (k as f32).max(1.0).sqrt(),
+                                "{} m {m} k {k} n {n} bias {} at {i}: {g} vs {w}",
+                                kernel.name(),
+                                bias.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A row's outputs do not depend on how many rows ride along, so the
+    /// encoder's one-sequence and batched calls agree to the bit.
+    #[test]
+    fn gemm_rows_are_independent_of_m() {
+        let mut rng = StdRng::seed_from_u64(72);
+        let (m, k) = (11, 64);
+        for &n in &[7usize, 32, 64, 100] {
+            let (a, w) = (unaligned(m * k, &mut rng), unaligned(k * n, &mut rng));
+            for kernel in available_kernels() {
+                let mut all = vec![0f32; m * n];
+                gemm_with(kernel, &a[1..], &w[1..], None, n, &mut all);
+                for i in 0..m {
+                    let mut one = vec![0f32; n];
+                    gemm_with(kernel, &a[1 + i * k..1 + (i + 1) * k], &w[1..], None, n, &mut one);
+                    assert_eq!(one, all[i * n..(i + 1) * n], "{} n {n} row {i}", kernel.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn gemm_rejects_mismatched_shapes() {
+        gemm(&[0.0; 6], &[0.0; 6], None, 3, &mut [0.0; 6]);
+    }
+
+    /// `tanh_inplace` over `xs` on one tier, through an unaligned slice
+    /// whose length is whatever `xs` has (so the 8-lane tail runs too).
+    fn tanh_of(kernel: Kernel, xs: &[f32]) -> Vec<f32> {
+        let mut buf = vec![0f32; xs.len() + 1];
+        buf[1..].copy_from_slice(xs);
+        tanh_inplace_with(kernel, &mut buf[1..]);
+        buf.split_off(1)
+    }
+
+    #[test]
+    fn tanh_error_bound_oddness_range_and_order_on_a_dense_grid() {
+        // 2^-10 steps over [-12, 12], ending one short of a lane multiple.
+        let xs: Vec<f32> = (-12 * 1024..=12 * 1024).map(|i| i as f32 / 1024.0).collect();
+        let neg: Vec<f32> = xs.iter().map(|x| -x).collect();
+        for kernel in available_kernels() {
+            let ys = tanh_of(kernel, &xs);
+            let ys_neg = tanh_of(kernel, &neg);
+            for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
+                let ctx = format!("{} tanh({x}) = {y}", kernel.name());
+                assert!((y - x.tanh()).abs() <= 5e-7, "{ctx}: off f32::tanh {}", x.tanh());
+                assert!(y.abs() <= 1.0, "{ctx}: beyond 1");
+                assert_eq!(ys_neg[i].to_bits(), (-y).to_bits(), "{ctx}: not odd");
+                if i > 0 {
+                    // Order holds to within the error bound everywhere, and
+                    // strictly where one step moves tanh by more than that.
+                    assert!(y >= ys[i - 1] - 5e-7, "{ctx}: below tanh({})", xs[i - 1]);
+                    assert!(x.abs() > 4.0 || y > ys[i - 1], "{ctx}: not increasing");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tanh_special_values() {
+        let tiny = f32::from_bits(1); // smallest subnormal
+        let sub = f32::MIN_POSITIVE / 2.0;
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let xs = [0.0, -0.0, inf, -inf, nan, tiny, -tiny, sub, -sub, 1e30, -1e30];
+        for kernel in available_kernels() {
+            let ys = tanh_of(kernel, &xs);
+            let name = kernel.name();
+            assert_eq!(ys[0].to_bits(), 0f32.to_bits(), "{name}: tanh(+0)");
+            assert_eq!(ys[1].to_bits(), (-0f32).to_bits(), "{name}: tanh(-0)");
+            assert!(ys[4].is_nan(), "{name}: NaN must propagate, got {}", ys[4]);
+            for (&x, &y) in xs.iter().zip(&ys) {
+                if !x.is_nan() {
+                    let ctx = format!("{name}: tanh({x}) = {y}");
+                    assert!((y - x.tanh()).abs() <= 5e-7 && y.abs() <= 1.0, "{ctx}");
+                    assert_eq!(y.is_sign_negative(), x.is_sign_negative(), "{ctx}: sign");
                 }
             }
         }
