@@ -1,172 +1,116 @@
 //! Exact brute-force index: the correctness oracle and small-scale fallback.
 //!
-//! The scan is *batched*: one query is scored against the whole store with
-//! the blocked one-vs-many SIMD kernels (`deepjoin-simd`), filling a dense
-//! score buffer in row blocks instead of calling a distance function per
-//! vector. Multi-query workloads additionally parallelize over queries via
-//! [`FlatIndex::search_batch`].
+//! The scan is *blocked and batched*: [`scan_wave`] pulls the store through
+//! the cache one row block at a time and scores each block against every
+//! query of the wave with the one-vs-many SIMD kernels (`deepjoin-simd`),
+//! filling a dense score buffer instead of calling a distance function per
+//! vector. It is the only scan loop in the crate — the f32 scan here and the
+//! SQ8 candidate pass (`sq8`) differ only in the block scorer they hand it.
 
-use deepjoin_par::Pool;
 use serde::{Deserialize, Serialize};
 
 use crate::budget::{Budget, BudgetedSearch, Effort, TRUNCATED_SCAN_ROWS};
 use crate::distance::Metric;
-use crate::index::{Neighbor, TopK, VectorIndex};
+use crate::index::{push_top, Neighbor, SearchRequest, VectorIndex};
 use crate::plane::PodVec;
 use crate::sq8::Sq8Plane;
 use crate::tombstones::TombSet;
 
 /// Rows scored per block. Large enough to amortize dispatch, small enough
 /// that the score buffer stays in L1.
-const SCAN_BLOCK: usize = 256;
+pub(crate) const SCAN_BLOCK: usize = 256;
 
-/// Budgeted blocked scan over row-major `data`, shared by
-/// [`FlatIndex::search_budgeted`] and the HNSW flat-rescue path
-/// (`HnswIndex::flat_scan_budgeted`). The budget is polled once per scan
-/// block; on expiry the scan stops and returns the best-so-far top-k with
-/// `complete == false`. `visited` counts the rows actually scored.
-/// Tombstoned rows (`deleted`) are still scored by the block kernel but are
-/// never offered to the selector, so they cannot appear in results.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_budgeted(
-    data: &[f32],
-    dim: usize,
-    metric: Metric,
-    unit_norm: bool,
-    query: &[f32],
-    k: usize,
+/// The blocked scan over rows `0..n` for a wave of `nq` queries, keeping
+/// each member's best `keep` rows ranked by the scorer's surrogate. The loop
+/// is rows-outer, queries-inner: `score(member, base, out)` fills `out` with
+/// the surrogates of rows `base..base + out.len()` for one member, so each
+/// block is pulled through the cache once per wave instead of once per query
+/// — and per `(member, block)` the kernel call and selector pushes are
+/// exactly those of a wave of one, so an unexpired wave is bit-identical to
+/// its members asked alone. One budget governs the wave: it is polled once
+/// per block, and on expiry every member stops at the same block boundary
+/// with its best-so-far hits (`complete == false`). Brownout rung 3
+/// ([`Effort::Truncated`]) answers from a bounded row prefix and is honest
+/// about it the same way. Tombstoned rows are still scored by the block
+/// kernel but never offered to a selector, so they can neither appear in
+/// results nor displace a live candidate. `visited` counts the rows scored;
+/// hits carry surrogates for the caller to convert or rescore.
+pub(crate) fn scan_wave(
+    n: usize,
+    nq: usize,
+    keep: usize,
     budget: &Budget,
     deleted: Option<&TombSet>,
-) -> BudgetedSearch {
-    assert_eq!(query.len(), dim, "dimension mismatch");
-    let full_n = data.len() / dim;
-    // Brownout rung 3: answer from a bounded row prefix. The truncated
-    // result is honest about it (`complete == false`) and the server flags
-    // the reply with its rung.
-    let n = if budget.effort() >= Effort::Truncated {
-        full_n.min(TRUNCATED_SCAN_ROWS)
+    mut score: impl FnMut(usize, usize, &mut [f32]),
+) -> Vec<BudgetedSearch> {
+    let end = if budget.effort() >= Effort::Truncated {
+        n.min(TRUNCATED_SCAN_ROWS)
     } else {
-        full_n
+        n
     };
     let limited = budget.is_limited();
-    let mut top = TopK::new(k);
+    let deleted = deleted.filter(|tombs| !tombs.is_empty());
+    let mut wave: Vec<BudgetedSearch> = (0..nq)
+        .map(|_| BudgetedSearch {
+            hits: Vec::with_capacity(keep.min(end)),
+            complete: end == n,
+            visited: 0,
+        })
+        .collect();
     let mut scores = [0f32; SCAN_BLOCK];
     let mut base = 0usize;
-    let mut complete = n == full_n;
-    while base < n {
+    while base < end {
         if limited && budget.expired() {
-            complete = false;
+            wave.iter_mut().for_each(|r| r.complete = false);
             break;
         }
-        let rows = SCAN_BLOCK.min(n - base);
-        let block = &data[base * dim..(base + rows) * dim];
-        metric.surrogate_block(query, block, unit_norm, &mut scores[..rows]);
-        match deleted {
-            Some(tombs) if !tombs.is_empty() => {
-                for (i, &s) in scores[..rows].iter().enumerate() {
-                    let id = (base + i) as u32;
-                    if !tombs.contains(id) {
-                        top.push(id, s);
-                    }
-                }
-            }
-            _ => {
-                for (i, &s) in scores[..rows].iter().enumerate() {
-                    top.push((base + i) as u32, s);
+        let rows = SCAN_BLOCK.min(end - base);
+        for (member, result) in wave.iter_mut().enumerate() {
+            score(member, base, &mut scores[..rows]);
+            for (i, &s) in scores[..rows].iter().enumerate() {
+                let id = (base + i) as u32;
+                if deleted.is_none_or(|tombs| !tombs.contains(id)) {
+                    push_top(&mut result.hits, keep, id, s);
                 }
             }
         }
         base += rows;
     }
-    let mut hits = top.into_sorted();
-    for h in &mut hits {
-        h.distance = metric.distance_from_surrogate(h.distance, unit_norm);
+    for result in &mut wave {
+        result.hits.sort_by(Neighbor::rank);
+        result.visited = base;
     }
-    BudgetedSearch {
-        hits,
-        complete,
-        visited: base,
-    }
+    wave
 }
 
-/// Batched [`scan_budgeted`]: every query in the wave rides one pass over
-/// the store. The loop is rows-outer, queries-inner — each `SCAN_BLOCK` of
-/// vectors is pulled through the cache once and scored against all `nq`
-/// queries while hot, instead of once per query — which is where a wave's
-/// memory-bandwidth amortization comes from. Per `(query, block)` the exact
-/// same kernel call and selector pushes run as in the single-query scan, so
-/// with an unexpired budget results are bit-identical to `nq` sequential
-/// scans. One budget governs the whole wave (the caller passes the min of
-/// its members' deadlines); expiry stops all queries at the same block
-/// boundary.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_budgeted_batch(
+/// Exact f32 wave over row-major `data`: [`scan_wave`] with the
+/// [`Metric::surrogate_block`] scorer, survivors converted to distances.
+/// Shared by [`FlatIndex`] and the HNSW flat-rescue rung
+/// (`HnswIndex::flat_rescue`).
+pub(crate) fn exact_wave(
     data: &[f32],
     dim: usize,
     metric: Metric,
     unit_norm: bool,
-    queries: &[f32],
-    k: usize,
-    budget: &Budget,
-    deleted: Option<&TombSet>,
+    req: &SearchRequest<'_>,
 ) -> Vec<BudgetedSearch> {
-    assert_eq!(queries.len() % dim, 0, "row-major shape mismatch");
-    let nq = queries.len() / dim;
-    if nq == 0 {
-        return Vec::new();
+    let nq = req.members(dim).len();
+    let mut wave = scan_wave(
+        data.len() / dim,
+        nq,
+        req.k,
+        req.budget,
+        req.deleted,
+        |m, base, out| {
+            let query = &req.queries[m * dim..(m + 1) * dim];
+            let block = &data[base * dim..(base + out.len()) * dim];
+            metric.surrogate_block(query, block, unit_norm, out);
+        },
+    );
+    for h in wave.iter_mut().flat_map(|r| &mut r.hits) {
+        h.distance = metric.distance_from_surrogate(h.distance, unit_norm);
     }
-    let full_n = data.len() / dim;
-    let n = if budget.effort() >= Effort::Truncated {
-        full_n.min(TRUNCATED_SCAN_ROWS)
-    } else {
-        full_n
-    };
-    let limited = budget.is_limited();
-    let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
-    let mut scores = [0f32; SCAN_BLOCK];
-    let mut base = 0usize;
-    let mut complete = n == full_n;
-    while base < n {
-        if limited && budget.expired() {
-            complete = false;
-            break;
-        }
-        let rows = SCAN_BLOCK.min(n - base);
-        let block = &data[base * dim..(base + rows) * dim];
-        for (qi, top) in tops.iter_mut().enumerate() {
-            let query = &queries[qi * dim..(qi + 1) * dim];
-            metric.surrogate_block(query, block, unit_norm, &mut scores[..rows]);
-            match deleted {
-                Some(tombs) if !tombs.is_empty() => {
-                    for (i, &s) in scores[..rows].iter().enumerate() {
-                        let id = (base + i) as u32;
-                        if !tombs.contains(id) {
-                            top.push(id, s);
-                        }
-                    }
-                }
-                _ => {
-                    for (i, &s) in scores[..rows].iter().enumerate() {
-                        top.push((base + i) as u32, s);
-                    }
-                }
-            }
-        }
-        base += rows;
-    }
-    tops.into_iter()
-        .map(|top| {
-            let mut hits = top.into_sorted();
-            for h in &mut hits {
-                h.distance = metric.distance_from_surrogate(h.distance, unit_norm);
-            }
-            BudgetedSearch {
-                hits,
-                complete,
-                visited: base,
-            }
-        })
-        .collect()
+    wave
 }
 
 /// Linear-scan exact kNN.
@@ -278,97 +222,6 @@ impl FlatIndex {
     pub fn sq8(&self) -> Option<&Sq8Plane> {
         self.sq8.as_ref()
     }
-
-    /// [`VectorIndex::search`] under a cooperative [`Budget`]: the scan
-    /// polls the budget between blocks and, on expiry, returns the best
-    /// top-k over the rows scored so far (`complete == false`).
-    pub fn search_budgeted(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
-        self.search_budgeted_filtered(query, k, budget, None)
-    }
-
-    /// [`Self::search_budgeted`] with tombstone filtering: ids in `deleted`
-    /// never appear in the results, in either the exact or the SQ8
-    /// two-stage path.
-    pub fn search_budgeted_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        budget: &Budget,
-        deleted: Option<&TombSet>,
-    ) -> BudgetedSearch {
-        if let Some(plane) = &self.sq8 {
-            return crate::sq8::scan_budgeted(
-                plane,
-                &self.data,
-                self.metric,
-                self.unit_norm,
-                query,
-                k,
-                budget,
-                deleted,
-            );
-        }
-        scan_budgeted(
-            &self.data,
-            self.dim,
-            self.metric,
-            self.unit_norm,
-            query,
-            k,
-            budget,
-            deleted,
-        )
-    }
-
-    /// Batched [`Self::search_budgeted_filtered`]: the whole wave of
-    /// row-major queries answered in one pass over the store (see
-    /// [`scan_budgeted_batch`]). Results per query are bit-identical to the
-    /// single-query path under the same (unexpired) budget. With an SQ8
-    /// plane attached the candidate pass already runs over 1-byte codes, so
-    /// the wave loops the existing two-stage scan per query — still one
-    /// call site, identical answers.
-    pub fn search_budgeted_batch_filtered(
-        &self,
-        queries: &[f32],
-        k: usize,
-        budget: &Budget,
-        deleted: Option<&TombSet>,
-    ) -> Vec<BudgetedSearch> {
-        assert_eq!(queries.len() % self.dim, 0, "row-major shape mismatch");
-        if self.sq8.is_some() {
-            return queries
-                .chunks_exact(self.dim)
-                .map(|q| self.search_budgeted_filtered(q, k, budget, deleted))
-                .collect();
-        }
-        scan_budgeted_batch(
-            &self.data,
-            self.dim,
-            self.metric,
-            self.unit_norm,
-            queries,
-            k,
-            budget,
-            deleted,
-        )
-    }
-
-    /// Search many row-major queries (`queries.len() / dim` of them),
-    /// parallelized over queries with `pool`. Results are identical to
-    /// calling [`VectorIndex::search`] per query, in query order, for any
-    /// pool size.
-    pub fn search_batch(&self, queries: &[f32], k: usize, pool: &Pool) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.len() % self.dim, 0, "row-major shape mismatch");
-        let nq = queries.len() / self.dim;
-        pool.map(nq, 1, |range| {
-            range
-                .map(|q| self.search(&queries[q * self.dim..(q + 1) * self.dim], k))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -395,18 +248,24 @@ impl VectorIndex for FlatIndex {
         id
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        // Rank by the cheap surrogate, computed block-at-a-time with the
-        // one-vs-many kernels into a bounded top-k selector (never
-        // materializing all n hits), then convert survivors to distances.
-        // The unlimited budget never reads a clock (see `budget`).
-        self.search_budgeted(query, k, &Budget::unlimited()).hits
+    /// Rank by the cheap surrogate, computed block-at-a-time into bounded
+    /// top-k selectors (never materializing all n hits): two-stage over the
+    /// SQ8 plane when one is attached (`sq8`), the exact f32 scan otherwise.
+    /// Tombstoned ids never appear on either path.
+    fn search_wave(&self, req: &SearchRequest<'_>) -> Vec<BudgetedSearch> {
+        match &self.sq8 {
+            Some(plane) => plane.two_stage_wave(&self.data, self.metric, self.unit_norm, req),
+            None => exact_wave(&self.data, self.dim, self.metric, self.unit_norm, req),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::wave_of_one;
+    use crate::index::Neighbor;
+    use deepjoin_par::Pool;
 
     #[test]
     fn truncated_effort_scans_a_bounded_prefix_and_reports_incomplete() {
@@ -419,28 +278,19 @@ mod tests {
         // The true nearest neighbor to this query lives past the truncation
         // horizon — a truncated scan must miss it and say so.
         let query = vec![(n - 1) as f32, 0.0];
-        let full = scan_budgeted(
-            &data,
-            dim,
-            Metric::L2,
-            false,
-            &query,
-            1,
-            &Budget::unlimited(),
-            None,
-        );
+        let scan = |budget: Budget| {
+            let req = SearchRequest {
+                queries: &query,
+                k: 1,
+                budget: &budget,
+                deleted: None,
+            };
+            exact_wave(&data, dim, Metric::L2, false, &req).remove(0)
+        };
+        let full = scan(Budget::unlimited());
         assert!(full.complete);
         assert_eq!(full.hits[0].id, (n - 1) as u32);
-        let cut = scan_budgeted(
-            &data,
-            dim,
-            Metric::L2,
-            false,
-            &query,
-            1,
-            &Budget::unlimited().with_effort(Effort::Truncated),
-            None,
-        );
+        let cut = scan(Budget::unlimited().with_effort(Effort::Truncated));
         assert!(!cut.complete, "truncated scans are honest about coverage");
         assert_eq!(cut.visited, TRUNCATED_SCAN_ROWS);
         assert_eq!(cut.hits[0].id, (TRUNCATED_SCAN_ROWS - 1) as u32);
@@ -520,26 +370,13 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_search_with_unlimited_budget_matches_search() {
-        let mut idx = FlatIndex::new(3, Metric::L2);
-        let data: Vec<f32> = (0..SCAN_BLOCK * 3 * 3).map(|i| (i as f32 * 0.17).sin()).collect();
-        idx.add_batch(&data);
-        let q = [0.1f32, -0.2, 0.3];
-        let plain = idx.search(&q, 7);
-        let budgeted = idx.search_budgeted(&q, 7, &Budget::unlimited());
-        assert!(budgeted.complete);
-        assert_eq!(budgeted.hits, plain);
-        assert_eq!(budgeted.visited, idx.len());
-    }
-
-    #[test]
     fn expired_budget_stops_scan_with_partial_results() {
         let mut idx = FlatIndex::new(2, Metric::L2);
         for i in 0..SCAN_BLOCK * 4 {
             idx.add(&[i as f32, 0.0]);
         }
         let expired = Budget::with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let out = idx.search_budgeted(&[0.0, 0.0], 5, &expired);
+        let out = wave_of_one(&idx, &[0.0, 0.0], 5, &expired, None);
         assert!(!out.complete, "expired budget must report a partial scan");
         assert!(out.visited < idx.len(), "scan must stop early");
         // Whatever was scored is still correctly ranked.
@@ -558,10 +395,10 @@ mod tests {
         }
         let flag = Arc::new(AtomicBool::new(true));
         let budget = Budget::unlimited().cancelled_by(flag.clone());
-        let out = idx.search_budgeted(&[0.0, 0.0], 3, &budget);
+        let out = wave_of_one(&idx, &[0.0, 0.0], 3, &budget, None);
         assert!(!out.complete);
         flag.store(false, Ordering::Relaxed);
-        let out = idx.search_budgeted(&[0.0, 0.0], 3, &budget);
+        let out = wave_of_one(&idx, &[0.0, 0.0], 3, &budget, None);
         assert!(out.complete);
         assert_eq!(out.visited, idx.len());
     }
@@ -629,74 +466,16 @@ mod tests {
         }
         let tombs: TombSet = [0u32, 1, 2, 5, 300].into_iter().collect();
         // Exact path: the nearest live rows are 3, 4, 6, 7.
-        let hits =
-            idx.search_budgeted_filtered(&[0.0, 0.0], 4, &Budget::unlimited(), Some(&tombs));
+        let hits = wave_of_one(&idx, &[0.0, 0.0], 4, &Budget::unlimited(), Some(&tombs));
         assert_eq!(hits.hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![3, 4, 6, 7]);
         // SQ8 two-stage path: same contract.
         idx.quantize_sq8();
-        let hits =
-            idx.search_budgeted_filtered(&[0.0, 0.0], 4, &Budget::unlimited(), Some(&tombs));
+        let hits = wave_of_one(&idx, &[0.0, 0.0], 4, &Budget::unlimited(), Some(&tombs));
         assert_eq!(hits.hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![3, 4, 6, 7]);
         // An empty tombset behaves exactly like no tombset.
-        let none = idx.search_budgeted(&[0.0, 0.0], 4, &Budget::unlimited());
-        let empty = idx.search_budgeted_filtered(
-            &[0.0, 0.0],
-            4,
-            &Budget::unlimited(),
-            Some(&TombSet::new()),
-        );
+        let none = wave_of_one(&idx, &[0.0, 0.0], 4, &Budget::unlimited(), None);
+        let empty = wave_of_one(&idx, &[0.0, 0.0], 4, &Budget::unlimited(), Some(&TombSet::new()));
         assert_eq!(none.hits, empty.hits);
-    }
-
-    #[test]
-    fn budgeted_batch_scan_is_bit_identical_to_sequential_scans() {
-        let mut idx = FlatIndex::new(4, Metric::L2);
-        let data: Vec<f32> = (0..(SCAN_BLOCK * 2 + 19) * 4)
-            .map(|i| (i as f32 * 0.13).sin())
-            .collect();
-        idx.add_batch(&data);
-        let queries: Vec<f32> = (0..6 * 4).map(|i| (i as f32 * 0.29).cos()).collect();
-        let tombs: TombSet = [3u32, 77, 512].into_iter().collect();
-        for deleted in [None, Some(&tombs)] {
-            let seq: Vec<BudgetedSearch> = queries
-                .chunks_exact(4)
-                .map(|q| idx.search_budgeted_filtered(q, 5, &Budget::unlimited(), deleted))
-                .collect();
-            let wave =
-                idx.search_budgeted_batch_filtered(&queries, 5, &Budget::unlimited(), deleted);
-            assert_eq!(seq, wave);
-        }
-        // SQ8 two-stage path keeps the same contract.
-        idx.quantize_sq8();
-        let seq: Vec<BudgetedSearch> = queries
-            .chunks_exact(4)
-            .map(|q| idx.search_budgeted_filtered(q, 5, &Budget::unlimited(), None))
-            .collect();
-        let wave = idx.search_budgeted_batch_filtered(&queries, 5, &Budget::unlimited(), None);
-        assert_eq!(seq, wave);
-        // Empty wave: no queries, no results.
-        assert!(idx
-            .search_budgeted_batch_filtered(&[], 5, &Budget::unlimited(), None)
-            .is_empty());
-    }
-
-    #[test]
-    fn budgeted_batch_scan_expiry_stops_every_member_at_one_boundary() {
-        let mut idx = FlatIndex::new(2, Metric::L2);
-        for i in 0..SCAN_BLOCK * 4 {
-            idx.add(&[i as f32, 0.0]);
-        }
-        let queries = vec![0.0f32, 0.0, 1.0, 0.0, 2.0, 0.0];
-        let expired = Budget::with_deadline(
-            std::time::Instant::now() - std::time::Duration::from_millis(1),
-        );
-        let wave = idx.search_budgeted_batch_filtered(&queries, 5, &expired, None);
-        assert_eq!(wave.len(), 3);
-        let visited = wave[0].visited;
-        for r in &wave {
-            assert!(!r.complete, "expired wave must report partial scans");
-            assert_eq!(r.visited, visited, "one block boundary for the wave");
-        }
     }
 
     #[test]

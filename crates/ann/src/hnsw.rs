@@ -20,10 +20,9 @@ use serde::{Deserialize, Serialize};
 use crate::budget::{Budget, BudgetedSearch, Effort, Ticker};
 use crate::distance::Metric;
 use crate::graph::{Graph, Node};
-use crate::index::{finalize_hits, Neighbor, VectorIndex};
+use crate::index::{finalize_hits, Neighbor, SearchRequest, VectorIndex};
 use crate::plane::PodVec;
 use crate::sq8::{Sq8Plane, Sq8Query};
-use crate::tombstones::TombSet;
 
 /// Batch size for [`HnswIndex::add_batch_parallel`]. A constant (never a
 /// function of the thread count) so the produced graph is identical for any
@@ -165,7 +164,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
 
 /// How a traversal scores a node against the query: exact f32, or the SQ8
 /// quantized surrogate when a plane is attached (candidates are then
-/// rescored exactly before ranking, see [`HnswIndex::search_budgeted`]).
+/// rescored exactly before ranking, see `HnswIndex::search_one`).
 enum QueryDist<'a> {
     Exact(&'a [f32]),
     Sq8 {
@@ -695,41 +694,11 @@ impl HnswIndex {
         }
     }
 
-    /// Algorithm 5 under a cooperative [`Budget`]: identical to
-    /// [`VectorIndex::search`] while the budget lasts; when it expires
-    /// mid-traversal the search stops at the next candidate boundary and
-    /// returns the best hits gathered so far with `complete == false`.
-    /// Unlimited budgets never read a clock, so the plain `search` path
-    /// pays nothing for this hook.
-    pub fn search_budgeted(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
-        self.search_budgeted_filtered(query, k, budget, None)
-    }
-
-    /// [`Self::search_budgeted`] with tombstone filtering. The graph keeps
-    /// its dead nodes as *routing* waypoints (removing them would tear the
-    /// small-world structure), so the beam is widened by the tombstone
-    /// count — bounding the worst case where all deleted rows crowd the
-    /// true top-k — and dead ids are dropped from the final hits.
-    pub fn search_budgeted_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        budget: &Budget,
-        deleted: Option<&TombSet>,
-    ) -> BudgetedSearch {
-        match deleted {
-            Some(tombs) if !tombs.is_empty() => {
-                let wide_k = k.saturating_add(tombs.len()).min(self.len().max(k));
-                let mut out = self.search_budgeted_raw(query, wide_k, budget);
-                out.hits.retain(|h| !tombs.contains(h.id));
-                out.hits.truncate(k);
-                out
-            }
-            _ => self.search_budgeted_raw(query, k, budget),
-        }
-    }
-
-    fn search_budgeted_raw(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
+    /// Algorithm 5 for one wave member under a cooperative [`Budget`]: when
+    /// the budget expires mid-traversal the search stops at the next
+    /// candidate boundary and returns the best hits gathered so far with
+    /// `complete == false`. Unlimited budgets never read a clock.
+    fn search_one(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         let Some(mut ep) = self.entry else {
             return BudgetedSearch {
@@ -833,51 +802,20 @@ impl HnswIndex {
         }
     }
 
-    /// Budgeted exact scan over this index's stored vectors — the rescue
-    /// rung of the degradation ladder when graph traversal itself fails
-    /// (e.g. a panic on a structurally damaged graph): same vectors, no
-    /// graph involved, same partial-results contract as
-    /// [`crate::FlatIndex::search_budgeted`]. Deliberately ignores any
-    /// attached SQ8 plane — the bottom of the ladder stays exact f32.
-    pub fn flat_scan_budgeted(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
-        self.flat_scan_budgeted_filtered(query, k, budget, None)
-    }
-
-    /// [`Self::flat_scan_budgeted`] with tombstone filtering: the exact
-    /// rescue path over live rows only.
-    pub fn flat_scan_budgeted_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        budget: &Budget,
-        deleted: Option<&TombSet>,
-    ) -> BudgetedSearch {
-        crate::flat::scan_budgeted(
+    /// Exact wave over this index's stored vectors — the rescue rung of the
+    /// degradation ladder when graph traversal itself fails (e.g. a panic on
+    /// a structurally damaged graph): same vectors, same request, no graph
+    /// involved, same partial-results contract as [`crate::FlatIndex`].
+    /// Deliberately ignores any attached SQ8 plane — the bottom of the
+    /// ladder stays exact f32.
+    pub fn flat_rescue(&self, req: &SearchRequest<'_>) -> Vec<BudgetedSearch> {
+        crate::flat::exact_wave(
             &self.vectors,
             self.dim,
             self.config.metric,
             self.unit_norm,
-            query,
-            k,
-            budget,
-            deleted,
+            req,
         )
-    }
-
-    /// Search many row-major queries in parallel. Results are identical to
-    /// per-query [`VectorIndex::search`] calls, in query order, for any
-    /// pool size (searches are read-only).
-    pub fn search_batch(&self, queries: &[f32], k: usize, pool: &Pool) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.len() % self.dim, 0, "row-major shape mismatch");
-        let nq = queries.len() / self.dim;
-        pool.map(nq, 1, |range| {
-            range
-                .map(|q| self.search(&queries[q * self.dim..(q + 1) * self.dim], k))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 
@@ -974,10 +912,27 @@ impl VectorIndex for HnswIndex {
         id
     }
 
-    /// Algorithm 5: k-NN search ([`HnswIndex::search_budgeted`] with an
-    /// unlimited budget).
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_budgeted(query, k, &Budget::unlimited()).hits
+    /// Algorithm 5 per wave member — graph descents share no row blocks, so
+    /// each member walks alone. The graph keeps its dead nodes as *routing*
+    /// waypoints (removing them would tear the small-world structure), so
+    /// under a tombstone filter the beam is widened by the number of dead
+    /// rows this graph holds — bounding the worst case where every one of
+    /// them crowds the true top-k — and dead ids are dropped from the final
+    /// hits. Tombstones at ids `>= len()` belong to other indexes (the live
+    /// lake's slabs): they can never crowd this graph, so they widen nothing.
+    fn search_wave(&self, req: &SearchRequest<'_>) -> Vec<BudgetedSearch> {
+        let dead = req.deleted.map_or(0, |tombs| tombs.count_below(self.len()));
+        let wide_k = req.k.saturating_add(dead).min(self.len().max(req.k));
+        req.members(self.dim)
+            .map(|query| {
+                let mut out = self.search_one(query, wide_k, req.budget);
+                if let Some(tombs) = req.deleted.filter(|_| dead > 0) {
+                    out.hits.retain(|h| !tombs.contains(h.id));
+                    out.hits.truncate(req.k);
+                }
+                out
+            })
+            .collect()
     }
 }
 
@@ -985,6 +940,8 @@ impl VectorIndex for HnswIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
+    use crate::index::tests::wave_of_one;
+    use crate::tombstones::TombSet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1062,17 +1019,49 @@ mod tests {
         // Tombstone the query's own row plus its current top neighbors:
         // the worst case, where every dead row crowds the true top-k.
         let tombs: TombSet = idx.search(q, 10).into_iter().map(|h| h.id).collect();
-        let hits = idx.search_budgeted_filtered(q, 10, &Budget::unlimited(), Some(&tombs));
+        let hits = wave_of_one(&idx, q, 10, &Budget::unlimited(), Some(&tombs));
         assert_eq!(hits.hits.len(), 10, "widened beam still fills k");
         for h in &hits.hits {
             assert!(!tombs.contains(h.id), "tombstoned id {} returned", h.id);
         }
         // The rescue scan obeys the same contract.
-        let rescue = idx.flat_scan_budgeted_filtered(q, 10, &Budget::unlimited(), Some(&tombs));
+        let req = SearchRequest {
+            queries: q,
+            k: 10,
+            budget: &Budget::unlimited(),
+            deleted: Some(&tombs),
+        };
+        let rescue = idx.flat_rescue(&req).remove(0);
         assert_eq!(rescue.hits.len(), 10);
         for h in &rescue.hits {
             assert!(!tombs.contains(h.id));
         }
+    }
+
+    /// The live lake hands the base graph its *global* tombstone set, live
+    /// ids included. Only the dead rows this graph holds may widen its beam:
+    /// a filter of foreign ids must cost nothing — same hits, same `visited`
+    /// — while in-range ids still never come back.
+    #[test]
+    fn tombstones_outside_the_id_range_widen_nothing() {
+        let data = random_data(800, 6, 8);
+        let mut idx = HnswIndex::new(6, HnswConfig::default());
+        idx.add_batch(&data);
+        let q = &data[42 * 6..43 * 6];
+        let plain = wave_of_one(&idx, q, 10, &Budget::unlimited(), None);
+        let foreign: TombSet = (800..1100u32).collect();
+        assert_eq!(foreign.count_below(idx.len()), 0);
+        let filtered = wave_of_one(&idx, q, 10, &Budget::unlimited(), Some(&foreign));
+        assert_eq!(filtered, plain, "foreign tombstones changed the search");
+        // A set straddling the boundary widens by its in-range part only and
+        // still filters it.
+        let mixed: TombSet = plain.hits[..3].iter().map(|h| h.id).chain(800..1100).collect();
+        assert_eq!(mixed.count_below(idx.len()), 3);
+        let out = wave_of_one(&idx, q, 10, &Budget::unlimited(), Some(&mixed));
+        assert_eq!(out.hits.len(), 10);
+        assert!(out.hits.iter().all(|h| !mixed.contains(h.id)));
+        let in_range: TombSet = plain.hits[..3].iter().map(|h| h.id).collect();
+        assert_eq!(out, wave_of_one(&idx, q, 10, &Budget::unlimited(), Some(&in_range)));
     }
 
     #[test]
@@ -1179,21 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_search_with_unlimited_budget_matches_search() {
-        let data = random_data(1200, 6, 41);
-        let mut idx = HnswIndex::new(6, HnswConfig::default());
-        idx.add_batch(&data);
-        let queries = random_data(10, 6, 42);
-        for q in queries.chunks_exact(6) {
-            let plain = idx.search(q, 8);
-            let budgeted = idx.search_budgeted(q, 8, &Budget::unlimited());
-            assert!(budgeted.complete);
-            assert!(budgeted.visited > 0);
-            assert_eq!(budgeted.hits, plain);
-        }
-    }
-
-    #[test]
     fn expired_budget_returns_partial_results_not_nothing() {
         let data = random_data(2000, 8, 43);
         let mut idx = HnswIndex::new(8, HnswConfig::default());
@@ -1201,7 +1175,7 @@ mod tests {
         let expired = Budget::with_deadline(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         );
-        let out = idx.search_budgeted(&data[0..8], 10, &expired);
+        let out = wave_of_one(&idx, &data[0..8], 10, &expired, None);
         assert!(!out.complete, "expired budget must be reported");
         // The traversal stops almost immediately but still surfaces the
         // best candidates it touched (at least the entry point).
@@ -1213,14 +1187,15 @@ mod tests {
     }
 
     #[test]
-    fn flat_scan_budgeted_matches_flat_index() {
+    fn flat_rescue_matches_flat_index() {
         let data = random_data(900, 5, 44);
         let mut hnsw = HnswIndex::new(5, HnswConfig::default());
         hnsw.add_batch(&data);
         let mut flat = FlatIndex::new(5, Metric::L2);
         flat.add_batch(&data);
         let q = &data[35 * 5..36 * 5];
-        let rescue = hnsw.flat_scan_budgeted(q, 7, &Budget::unlimited());
+        let budget = Budget::unlimited();
+        let rescue = hnsw.flat_rescue(&SearchRequest::one(q, 7, &budget)).remove(0);
         assert!(rescue.complete);
         assert_eq!(rescue.visited, 900);
         assert_eq!(rescue.hits, flat.search(q, 7));

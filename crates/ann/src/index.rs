@@ -1,9 +1,13 @@
 //! The common index interface every ANNS backend implements, so DeepJoin can
 //! swap Flat / HNSW / IVFPQ per §3.3.
 
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
+use deepjoin_par::Pool;
+
+use crate::budget::{Budget, BudgetedSearch};
 use crate::distance::Metric;
+use crate::tombstones::TombSet;
 
 /// One search hit: internal id + distance (smaller = closer).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -12,6 +16,50 @@ pub struct Neighbor {
     pub id: u32,
     /// Distance under the index metric.
     pub distance: f32,
+}
+
+impl Neighbor {
+    /// The one ranking every selector, sort and merge uses: ascending
+    /// distance under `f32::total_cmp` (a total order — a NaN distance sorts
+    /// last instead of poisoning the sort), ties by ascending id.
+    pub fn rank(&self, other: &Self) -> Ordering {
+        self.distance
+            .total_cmp(&other.distance)
+            .then_with(|| self.id.cmp(&other.id))
+    }
+}
+
+/// One search: a wave of queries answered together under one `k`, one
+/// budget and one tombstone filter. A single query is a wave of one.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchRequest<'a> {
+    /// The wave's query vectors, row-major (`nq × dim`; empty = no members).
+    pub queries: &'a [f32],
+    /// Hits wanted per member.
+    pub k: usize,
+    /// Deadline, cancellation and effort rung shared by the whole wave (a
+    /// caller batching requests passes the tightest member's budget).
+    pub budget: &'a Budget,
+    /// Ids that must not appear in any member's hits.
+    pub deleted: Option<&'a TombSet>,
+}
+
+impl<'a> SearchRequest<'a> {
+    /// A wave of one, unfiltered.
+    pub fn one(query: &'a [f32], k: usize, budget: &'a Budget) -> Self {
+        Self {
+            queries: query,
+            k,
+            budget,
+            deleted: None,
+        }
+    }
+
+    /// The wave's members, in order, as `dim`-long rows.
+    pub fn members(&self, dim: usize) -> std::slice::ChunksExact<'a, f32> {
+        assert_eq!(self.queries.len() % dim, 0, "row-major shape mismatch");
+        self.queries.chunks_exact(dim)
+    }
 }
 
 /// A k-nearest-neighbor index over fixed-dimension `f32` vectors.
@@ -41,89 +89,121 @@ pub trait VectorIndex {
         }
     }
 
-    /// The `k` (approximate) nearest neighbors of `query`, sorted by
-    /// ascending distance with ascending-id tie-break.
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
+    /// Answer every member of the wave: one result per member, in member
+    /// order, each holding that member's `k` (approximate) nearest
+    /// neighbors sorted by [`Neighbor::rank`]. A member's result is
+    /// bit-identical to asking for it alone under the same budget.
+    fn search_wave(&self, req: &SearchRequest<'_>) -> Vec<BudgetedSearch>;
+
+    /// The `k` (approximate) nearest neighbors of `query`: a wave of one
+    /// under an unlimited budget (which never reads a clock).
+    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+        assert_eq!(query.len(), self.dim(), "dimension mismatch");
+        let budget = Budget::unlimited();
+        let mut wave = self.search_wave(&SearchRequest::one(query, k, &budget));
+        wave.pop().expect("one member, one result").hits
+    }
+
+    /// Search many row-major queries, parallelized over queries with
+    /// `pool`. Results are identical to calling [`VectorIndex::search`] per
+    /// query, in query order, for any pool size (searches are read-only).
+    fn search_batch(&self, queries: &[f32], k: usize, pool: &Pool) -> Vec<Vec<Neighbor>>
+    where
+        Self: Sync,
+    {
+        let dim = self.dim();
+        assert_eq!(queries.len() % dim, 0, "row-major shape mismatch");
+        pool.map(queries.len() / dim, 1, |range| {
+            range
+                .map(|q| self.search(&queries[q * dim..(q + 1) * dim], k))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
 }
 
-/// Sort hits ascending by distance, break ties by id, truncate to k.
+/// Sort hits by [`Neighbor::rank`], truncate to k.
 pub fn finalize_hits(mut hits: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
-    hits.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.id.cmp(&b.id))
-    });
+    hits.sort_by(Neighbor::rank);
     hits.truncate(k);
     hits
 }
 
-/// Max-heap entry ordered by (distance, id) so the *worst* kept hit is on
-/// top and ties prefer the smaller id (matching [`finalize_hits`]).
-#[derive(PartialEq)]
-struct WorstFirst(Neighbor);
-
-impl Eq for WorstFirst {}
-
-impl Ord for WorstFirst {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .distance
-            .total_cmp(&other.0.distance)
-            .then_with(|| self.0.id.cmp(&other.0.id))
+/// Bounded top-k selection over a plain hit list: offer one candidate to
+/// `heap`, which keeps the `k` best by [`Neighbor::rank`] as a binary
+/// max-heap (worst kept hit at index 0), so an exact scan never
+/// materializes or sorts all `n` hits — and the selector *is* the result's
+/// hit vector, no second buffer. Finish with [`finalize_hits`]; the outcome
+/// matches `finalize_hits`-over-everything.
+#[inline]
+pub fn push_top(heap: &mut Vec<Neighbor>, k: usize, id: u32, distance: f32) {
+    let cand = Neighbor { id, distance };
+    // The common case in a scan — a full selector and a candidate no better
+    // than its worst kept hit — is one comparison; the heap work stays out
+    // of the caller's loop.
+    if heap.len() < k || (k > 0 && cand.rank(&heap[0]).is_lt()) {
+        keep(heap, k, cand);
     }
 }
 
-impl PartialOrd for WorstFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Bounded top-k selector: streams candidates and keeps only the `k` best
-/// (smallest distance, ascending-id tie-break), so an exact scan never
-/// materializes or sorts all `n` hits. Results match
-/// [`finalize_hits`]-over-everything for non-NaN distances.
-pub struct TopK {
-    k: usize,
-    heap: BinaryHeap<WorstFirst>,
-}
-
-impl TopK {
-    /// Selector keeping the best `k` hits.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
+/// [`push_top`] for a candidate that belongs in the selection.
+#[inline(never)]
+fn keep(heap: &mut Vec<Neighbor>, k: usize, cand: Neighbor) {
+    if heap.len() < k {
+        // Room left: append, then sift the newcomer up.
+        heap.push(cand);
+        let mut i = heap.len() - 1;
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if heap[i].rank(&heap[parent]).is_le() {
+                break;
+            }
+            heap.swap(i, parent);
+            i = parent;
         }
-    }
-
-    /// Offer one candidate.
-    #[inline]
-    pub fn push(&mut self, id: u32, distance: f32) {
-        if self.k == 0 {
-            return;
+    } else {
+        // Full: the newcomer replaces the worst kept hit and sifts down.
+        heap[0] = cand;
+        let mut i = 0;
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= heap.len() {
+                break;
+            }
+            if child + 1 < heap.len() && heap[child + 1].rank(&heap[child]).is_gt() {
+                child += 1;
+            }
+            if heap[child].rank(&heap[i]).is_le() {
+                break;
+            }
+            heap.swap(i, child);
+            i = child;
         }
-        let cand = WorstFirst(Neighbor { id, distance });
-        if self.heap.len() < self.k {
-            self.heap.push(cand);
-        } else if cand < *self.heap.peek().expect("non-empty at capacity") {
-            self.heap.pop();
-            self.heap.push(cand);
-        }
-    }
-
-    /// The kept hits, ascending by (distance, id).
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut out: Vec<Neighbor> = self.heap.into_iter().map(|w| w.0).collect();
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-        out
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test shorthand: one query as a wave of one.
+    pub(crate) fn wave_of_one(
+        index: &impl VectorIndex,
+        query: &[f32],
+        k: usize,
+        budget: &Budget,
+        deleted: Option<&TombSet>,
+    ) -> BudgetedSearch {
+        let req = SearchRequest {
+            queries: query,
+            k,
+            budget,
+            deleted,
+        };
+        index.search_wave(&req).pop().expect("one member, one result")
+    }
 
     #[test]
     fn finalize_sorts_and_truncates() {
@@ -136,5 +216,39 @@ mod tests {
         assert_eq!(out[0].id, 1);
         assert_eq!(out[1].id, 0, "tie broken by id");
         assert_eq!(out.len(), 2);
+    }
+
+    /// A final beam long enough for the standard library's merge sort (which
+    /// may panic on a comparison that is not a total order) and holding
+    /// NaNs, as a NaN query component produces: it sorts, NaNs last, ties
+    /// by id.
+    #[test]
+    fn one_ranking_sorts_nans_last_and_ties_by_id() {
+        let beam: Vec<Neighbor> = (0..48u32)
+            .rev()
+            .map(|id| Neighbor {
+                id,
+                distance: match id % 4 {
+                    0 => f32::NAN,
+                    1 => 0.25,
+                    _ => id as f32,
+                },
+            })
+            .collect();
+        let sorted = finalize_hits(beam.clone(), beam.len());
+        let ids = |hits: &[Neighbor]| hits.iter().map(|h| h.id).collect::<Vec<_>>();
+        assert_eq!(ids(&sorted[..12]), (0..12).map(|i| 4 * i + 1).collect::<Vec<_>>());
+        assert!(sorted[..36].iter().all(|h| !h.distance.is_nan()));
+        assert_eq!(ids(&sorted[36..]), (0..12).map(|i| 4 * i).collect::<Vec<_>>());
+        // The bounded selector agrees with the full sort at every k.
+        for k in [0, 1, 7, 36, 40, 48, 60] {
+            let mut heap = Vec::new();
+            for h in &beam {
+                push_top(&mut heap, k, h.id, h.distance);
+            }
+            let kept = finalize_hits(heap, k);
+            let want = &sorted[..k.min(sorted.len())];
+            assert_eq!(ids(&kept), ids(want), "k={k}");
+        }
     }
 }

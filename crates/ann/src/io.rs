@@ -807,6 +807,8 @@ fn assemble_hnsw(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
+    use crate::index::SearchRequest;
     use deepjoin_store::codec::DecodeErrorKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1258,10 +1260,15 @@ mod tests {
         for qid in [0u32, 5, 41] {
             let q = orig.vector(qid).to_vec();
             for deleted in [None, Some(&tombs)] {
-                let ha = a.search_filtered(&q, 10, deleted);
-                let hb = b.search_filtered(&q, 10, deleted);
-                assert_eq!(ha.len(), hb.len());
-                for (x, y) in ha.iter().zip(&hb) {
+                let req = SearchRequest {
+                    queries: &q,
+                    k: 10,
+                    budget: &Budget::unlimited(),
+                    deleted,
+                };
+                let (ha, hb) = (a.search_wave(&req).remove(0), b.search_wave(&req).remove(0));
+                assert_eq!(ha.hits.len(), hb.hits.len());
+                for (x, y) in ha.hits.iter().zip(&hb.hits) {
                     assert_eq!((x.id, x.distance.to_bits()), (y.id, y.distance.to_bits()));
                 }
             }

@@ -12,8 +12,9 @@
 
 use deepjoin_par::Pool;
 
+use crate::budget::BudgetedSearch;
 use crate::distance::Metric;
-use crate::index::{finalize_hits, Neighbor, VectorIndex};
+use crate::index::{finalize_hits, Neighbor, SearchRequest, VectorIndex};
 use crate::kmeans::{Kmeans, KmeansConfig};
 use crate::pq::{PqConfig, ProductQuantizer};
 use crate::sq8::{Sq8Plane, RESCORE_FACTOR};
@@ -139,16 +140,10 @@ impl IvfPqIndex {
         self.sq8.as_ref()
     }
 
-    /// [`VectorIndex::search`] with tombstone filtering: ids in `deleted`
-    /// are skipped at ADC candidate collection, so they neither appear in
-    /// results nor crowd live rows out of the refinement shortlist.
-    pub fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        deleted: Option<&TombSet>,
-    ) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "dimension mismatch");
+    /// One wave member: ids in `deleted` are skipped at ADC candidate
+    /// collection, so they neither appear in results nor crowd live rows out
+    /// of the refinement shortlist.
+    fn search_one(&self, query: &[f32], k: usize, deleted: Option<&TombSet>) -> Vec<Neighbor> {
         let (Some(coarse), Some(pq)) = (self.coarse.as_ref(), self.pq.as_ref()) else {
             return Vec::new();
         };
@@ -177,18 +172,13 @@ impl IvfPqIndex {
         if let Some(plane) = &self.sq8 {
             let shortlist = finalize_hits(hits, k.saturating_mul(RESCORE_FACTOR).max(k));
             let prep = plane.prepare(query, Metric::L2, false);
-            let refined = shortlist
+            hits = shortlist
                 .into_iter()
                 .map(|h| Neighbor {
                     id: h.id,
                     distance: plane.surrogate(&prep, h.id),
                 })
                 .collect();
-            let mut out = finalize_hits(refined, k);
-            for h in &mut out {
-                h.distance = h.distance.sqrt();
-            }
-            return out;
         }
         let mut out = finalize_hits(hits, k);
         for h in &mut out {
@@ -231,8 +221,18 @@ impl VectorIndex for IvfPqIndex {
         id
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_filtered(query, k, None)
+    /// Takes the request for its filter and its wave shape only: IVFPQ does
+    /// not poll the budget or count evaluations, so every member reports
+    /// `complete == true` and `visited == 0`, whatever the deadline or
+    /// effort rung.
+    fn search_wave(&self, req: &SearchRequest<'_>) -> Vec<BudgetedSearch> {
+        req.members(self.dim)
+            .map(|query| BudgetedSearch {
+                hits: self.search_one(query, req.k, req.deleted),
+                complete: true,
+                visited: 0,
+            })
+            .collect()
     }
 }
 
@@ -376,7 +376,7 @@ mod tests {
             idx.add_batch(&data);
             let q = &data[7 * dim..8 * dim];
             let tombs: TombSet = idx.search(q, 10).into_iter().map(|h| h.id).collect();
-            let hits = idx.search_filtered(q, 10, Some(&tombs));
+            let hits = idx.search_one(q, 10, Some(&tombs));
             assert_eq!(hits.len(), 10, "refine_sq8 {refine_sq8}");
             for h in &hits {
                 assert!(!tombs.contains(h.id), "tombstoned id {} returned", h.id);

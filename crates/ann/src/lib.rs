@@ -6,6 +6,23 @@
 //! exact flat index that serves as the correctness oracle. All three
 //! implement [`VectorIndex`], so DeepJoin and the benchmarks can swap
 //! backends, as §3.3 of the paper describes.
+//!
+//! Every search is one call, [`VectorIndex::search_wave`], over one value:
+//!
+//! ```
+//! use deepjoin_ann::{Budget, FlatIndex, Metric, SearchRequest, VectorIndex};
+//!
+//! let mut index = FlatIndex::new(2, Metric::L2);
+//! index.add_batch(&[0., 0., 1., 0., 5., 5.]);
+//! let wave = index.search_wave(&SearchRequest {
+//!     queries: &[0.1, 0.0, 4.0, 4.0], // two members, row-major
+//!     k: 1,
+//!     budget: &Budget::unlimited(), // deadline, cancellation, effort rung
+//!     deleted: None,                // tombstoned ids never appear
+//! });
+//! assert_eq!((wave[0].hits[0].id, wave[1].hits[0].id), (0, 2));
+//! assert_eq!(index.search(&[0.1, 0.0], 1), wave[0].hits); // a wave of one
+//! ```
 
 #![warn(missing_docs)]
 
@@ -29,7 +46,7 @@ pub use distance::Metric;
 pub use flat::FlatIndex;
 pub use graph::Graph;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use index::{Neighbor, VectorIndex};
+pub use index::{Neighbor, SearchRequest, VectorIndex};
 pub use ivfpq::{IvfPqConfig, IvfPqIndex};
 pub use kmeans::{Kmeans, KmeansConfig};
 pub use plane::{ByteOwner, Pod, PodVec};

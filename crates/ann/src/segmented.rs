@@ -1,77 +1,32 @@
 //! Scatter-gather search over a segmented index.
 //!
 //! A segmented index is N immutable segments (mapped DJAR files, live-lake
-//! flush segments, a memtable snapshot) that each answer a top-k query
-//! independently. [`search_segments`] scatters the per-segment searches
-//! across a [`Pool`], then gathers every partial result through the same
-//! bounded [`TopK`] selector the per-index scans use — so the merged result
-//! is **deterministic** (independent of thread count and completion order)
-//! and exactly what a serial loop over the segments would produce.
+//! flush segments, a memtable snapshot) that each answer a wave of top-k
+//! queries independently. [`search_segments`] scatters the per-segment
+//! searches across a [`Pool`], then gathers every partial result through the
+//! same bounded selector the per-index scans use — so the merged result is
+//! **deterministic** (independent of thread count and completion order) and
+//! exactly what a serial loop over the segments would produce.
 //!
 //! The per-segment closure returns global ids: segments number their rows
 //! locally, so the closure is where slab-local → global id translation
-//! happens (the caller owns that mapping; see `LiveView::search`).
+//! happens (the caller owns that mapping; see `LiveView::search_wave`).
 
 use crate::budget::BudgetedSearch;
-use crate::index::TopK;
+use crate::index::{push_top, Neighbor};
 use deepjoin_par::Pool;
 
-/// Search every segment via `f`, merging the partial top-k lists into one
+/// Answer a wave of `nq` queries over every segment: `f` searches one
+/// segment for the whole wave (one result per member, in member order — so a
+/// segment's rows are pulled through the cache once per wave, see
+/// `flat::scan_wave`), and each member's partial top-k lists merge into one
 /// bounded top-k. Per-segment searches run scattered on `pool` (serial pools
-/// degrade gracefully to the old loop); results are gathered in segment
-/// order, so hits, `complete`, and `visited` are identical across thread
-/// counts. `f` must return hits with **global** ids, ascending by
-/// `(distance, id)` as every budgeted search in this crate does.
-pub fn search_segments<S, F>(pool: &Pool, segments: &[S], k: usize, f: F) -> BudgetedSearch
-where
-    S: Sync,
-    F: Fn(&S) -> BudgetedSearch + Sync,
-{
-    // One partial per chunk of segments, in chunk order (deterministic).
-    let partials: Vec<BudgetedSearch> = pool.map(segments.len(), 1, |range| {
-        let mut top = TopK::new(k);
-        let mut complete = true;
-        let mut visited = 0usize;
-        for seg in &segments[range] {
-            let r = f(seg);
-            complete &= r.complete;
-            visited += r.visited;
-            for n in r.hits {
-                top.push(n.id, n.distance);
-            }
-        }
-        BudgetedSearch {
-            hits: top.into_sorted(),
-            complete,
-            visited,
-        }
-    });
-
-    let mut top = TopK::new(k);
-    let mut complete = true;
-    let mut visited = 0usize;
-    for p in partials {
-        complete &= p.complete;
-        visited += p.visited;
-        for n in p.hits {
-            top.push(n.id, n.distance);
-        }
-    }
-    BudgetedSearch {
-        hits: top.into_sorted(),
-        complete,
-        visited,
-    }
-}
-
-/// Batched [`search_segments`]: a whole wave of `nq` queries answered with
-/// one visit to each segment. `f` returns one [`BudgetedSearch`] per query
-/// (global ids, same ordering contract as the single-query variant) — so a
-/// segment's rows are pulled through the cache once per wave instead of
-/// once per query (see `flat::scan_budgeted_batch`). Per-query merges run
-/// through the same bounded [`TopK`] in segment order, so each query's
-/// result is bit-identical to calling [`search_segments`] for it alone.
-pub fn search_segments_batch<S, F>(
+/// degrade gracefully to a loop); results are gathered in segment order, so
+/// hits, `complete`, and `visited` are identical across thread counts, and
+/// each member's result is what it would get asked alone. `f` must return
+/// hits with **global** ids, sorted by [`Neighbor::rank`] as every search in
+/// this crate does.
+pub fn search_segments<S, F>(
     pool: &Pool,
     segments: &[S],
     nq: usize,
@@ -82,54 +37,43 @@ where
     S: Sync,
     F: Fn(&S) -> Vec<BudgetedSearch> + Sync,
 {
-    // One per-query partial per chunk of segments, in chunk order.
+    // One list per chunk of segments, in chunk order (deterministic): the
+    // chunk's segments' answers back to back, `nq` per segment, in the first
+    // answer's own vector (a chunk is one segment until there are many).
     let partials: Vec<Vec<BudgetedSearch>> = pool.map(segments.len(), 1, |range| {
-        let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
-        let mut complete = vec![true; nq];
-        let mut visited = vec![0usize; nq];
-        for seg in &segments[range] {
-            let per_query = f(seg);
-            assert_eq!(per_query.len(), nq, "segment answered a different wave size");
-            for (qi, r) in per_query.into_iter().enumerate() {
-                complete[qi] &= r.complete;
-                visited[qi] += r.visited;
-                for n in r.hits {
-                    tops[qi].push(n.id, n.distance);
-                }
-            }
+        let mut answers = segments[range].iter().map(|segment| {
+            let wave = f(segment);
+            assert_eq!(wave.len(), nq, "segment answered a different wave size");
+            wave
+        });
+        let mut all = answers.next().unwrap_or_default();
+        for more in answers {
+            all.extend(more);
         }
-        tops.into_iter()
-            .zip(complete)
-            .zip(visited)
-            .map(|((top, complete), visited)| BudgetedSearch {
-                hits: top.into_sorted(),
-                complete,
-                visited,
-            })
-            .collect()
+        all
     });
 
-    let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
-    let mut complete = vec![true; nq];
-    let mut visited = vec![0usize; nq];
+    let mut merged: Vec<BudgetedSearch> = (0..nq)
+        .map(|_| BudgetedSearch {
+            hits: Vec::with_capacity(k),
+            complete: true,
+            visited: 0,
+        })
+        .collect();
     for chunk in partials {
-        for (qi, p) in chunk.into_iter().enumerate() {
-            complete[qi] &= p.complete;
-            visited[qi] += p.visited;
-            for n in p.hits {
-                tops[qi].push(n.id, n.distance);
+        for (i, partial) in chunk.into_iter().enumerate() {
+            let member = &mut merged[i % nq];
+            member.complete &= partial.complete;
+            member.visited += partial.visited;
+            for n in partial.hits {
+                push_top(&mut member.hits, k, n.id, n.distance);
             }
         }
     }
-    tops.into_iter()
-        .zip(complete)
-        .zip(visited)
-        .map(|((top, complete), visited)| BudgetedSearch {
-            hits: top.into_sorted(),
-            complete,
-            visited,
-        })
-        .collect()
+    for member in &mut merged {
+        member.hits.sort_by(Neighbor::rank);
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -138,7 +82,7 @@ mod tests {
     use crate::budget::Budget;
     use crate::distance::Metric;
     use crate::flat::FlatIndex;
-    use crate::index::{Neighbor, VectorIndex};
+    use crate::index::{SearchRequest, VectorIndex};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -167,15 +111,31 @@ mod tests {
         (segs, all)
     }
 
-    fn search_all(pool: &Pool, segs: &[Seg], q: &[f32], k: usize) -> BudgetedSearch {
-        let budget = Budget::unlimited();
-        search_segments(pool, segs, k, |seg| {
-            let mut r = seg.index.search_budgeted_filtered(q, k, &budget, None);
-            for n in &mut r.hits {
+    /// The wave over every segment, segment-local ids made global.
+    fn search_wave(
+        pool: &Pool,
+        segs: &[Seg],
+        queries: &[f32],
+        dim: usize,
+        k: usize,
+    ) -> Vec<BudgetedSearch> {
+        let req = SearchRequest {
+            queries,
+            k,
+            budget: &Budget::unlimited(),
+            deleted: None,
+        };
+        search_segments(pool, segs, queries.len() / dim, k, |seg| {
+            let mut wave = seg.index.search_wave(&req);
+            for n in wave.iter_mut().flat_map(|r| &mut r.hits) {
                 n.id += seg.base;
             }
-            r
+            wave
         })
+    }
+
+    fn search_all(pool: &Pool, segs: &[Seg], q: &[f32], k: usize) -> BudgetedSearch {
+        search_wave(pool, segs, q, q.len(), k).remove(0)
     }
 
     #[test]
@@ -183,7 +143,7 @@ mod tests {
         let (segs, all) = build_segments(7, 50, 6);
         let q: Vec<f32> = vec![0.1; 6];
         let merged = search_all(&Pool::global(), &segs, &q, 10);
-        let oracle: Vec<Neighbor> = all.search(&q, 10);
+        let oracle = all.search(&q, 10);
         assert_eq!(merged.hits, oracle);
         assert!(merged.complete);
         assert_eq!(merged.visited, 7 * 50);
@@ -210,31 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_scatter_gather_matches_per_query_single_searches() {
+    fn a_wave_over_segments_matches_its_members_asked_alone() {
         let (segs, _) = build_segments(7, 50, 6);
-        let budget = Budget::unlimited();
-        let queries: Vec<Vec<f32>> = (0..5)
-            .map(|i| (0..6).map(|d| ((i * 6 + d) as f32 * 0.31).sin()).collect())
-            .collect();
-        let flat: Vec<f32> = queries.iter().flatten().copied().collect();
+        let queries: Vec<f32> = (0..5 * 6).map(|i| (i as f32 * 0.31).sin()).collect();
         for threads in [1, 2, 8] {
             let pool = Pool::new(threads);
-            let wave = search_segments_batch(&pool, &segs, queries.len(), 10, |seg| {
-                let mut rs = seg.index.search_budgeted_batch_filtered(&flat, 10, &budget, None);
-                for r in &mut rs {
-                    for n in &mut r.hits {
-                        n.id += seg.base;
-                    }
-                }
-                rs
-            });
-            for (q, got) in queries.iter().zip(&wave) {
-                let single = search_all(&pool, &segs, q, 10);
-                assert_eq!(&single, got, "threads={threads}");
+            let wave = search_wave(&pool, &segs, &queries, 6, 10);
+            assert_eq!(wave.len(), 5);
+            for (q, got) in queries.chunks_exact(6).zip(&wave) {
+                assert_eq!(&search_all(&pool, &segs, q, 10), got, "threads={threads}");
             }
         }
         // An empty wave over real segments yields no results.
-        assert!(search_segments_batch(&Pool::global(), &segs, 0, 10, |_| Vec::new()).is_empty());
+        assert!(search_wave(&Pool::global(), &segs, &[], 6, 10).is_empty());
     }
 
     #[test]
@@ -243,9 +191,8 @@ mod tests {
         let q = vec![0.0; 4];
         // An already-expired budget: every scan stops before any work.
         let budget = Budget::with_deadline(std::time::Instant::now());
-        let r = search_segments(&Pool::global(), &segs, 5, |seg| {
-            seg.index.search_budgeted_filtered(&q, 5, &budget, None)
-        });
-        assert!(!r.complete);
+        let req = SearchRequest::one(&q, 5, &budget);
+        let r = search_segments(&Pool::global(), &segs, 1, 5, |seg| seg.index.search_wave(&req));
+        assert!(!r[0].complete);
     }
 }

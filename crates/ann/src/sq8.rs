@@ -16,21 +16,17 @@
 //! `q₀ = Σ q_d·offset_d` and the folded query `t₂ = q ∘ s` reduce each row
 //! to one f32×u8 dot.
 
-use crate::budget::{Budget, BudgetedSearch, Effort, TRUNCATED_SCAN_ROWS};
+use crate::budget::{BudgetedSearch, Effort};
 use crate::distance::Metric;
-use crate::index::TopK;
+use crate::flat::scan_wave;
+use crate::index::{push_top, Neighbor, SearchRequest};
 use crate::plane::PodVec;
-use crate::tombstones::TombSet;
 
 /// Candidate over-fetch for the quantized first stage: the quantized scan
 /// keeps `RESCORE_FACTOR · k` rows for the exact rescore. 4 is generous —
 /// SQ8 surrogate error is a fraction of typical inter-neighbor gaps — and
 /// keeps the rescore cost negligible next to the scan.
 pub const RESCORE_FACTOR: usize = 4;
-
-/// Rows scored per block in the quantized scan (matches the flat scan's
-/// block so budget polling granularity is comparable).
-const SCAN_BLOCK: usize = 256;
 
 /// Per-dimension affine-quantized (`u8`) copy of an embedding matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,114 +314,78 @@ enum Prepared {
     CosineFull { t2: Vec<f32>, q0: f32, q_norm: f32 },
 }
 
-/// Two-stage budgeted scan: quantized candidate generation over the plane's
-/// codes into a `RESCORE_FACTOR · k` pool, then exact f32 rescore of the
-/// survivors against `exact` (the row-major uncompressed matrix, same row
-/// ids). Returned distances are exact; `visited` counts quantized rows
-/// scored plus rows rescored.
-///
-/// The budget is polled once per code block; on expiry the survivors found
-/// so far are still rescored (exactness is preserved) and the result is
-/// marked incomplete.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_budgeted(
-    plane: &Sq8Plane,
-    exact: &[f32],
-    metric: Metric,
-    unit_norm: bool,
-    query: &[f32],
-    k: usize,
-    budget: &Budget,
-    deleted: Option<&TombSet>,
-) -> BudgetedSearch {
-    let dim = plane.dim;
-    debug_assert_eq!(exact.len(), plane.codes.len());
-    let full_n = plane.len();
-    // Brownout rung 3: bounded row prefix, same contract as the flat scan.
-    let n = if budget.effort() >= Effort::Truncated {
-        full_n.min(TRUNCATED_SCAN_ROWS)
-    } else {
-        full_n
-    };
-    let limited = budget.is_limited();
-    let prep = plane.prepare(query, metric, unit_norm);
-    // Brownout rung 2+ serves the quantized surrogate scores directly, so
-    // there is no rescore pool to over-collect into.
-    let rescore = budget.effort() < Effort::Surrogate;
-    let pool = if rescore {
-        k.saturating_mul(RESCORE_FACTOR).max(k)
-    } else {
-        k
-    };
-    let mut top = TopK::new(pool);
-    let mut scores = [0f32; SCAN_BLOCK];
-    let mut base = 0usize;
-    let mut complete = n == full_n;
-    while base < n {
-        if limited && budget.expired() {
-            complete = false;
-            break;
-        }
-        let rows = SCAN_BLOCK.min(n - base);
-        plane.surrogate_block(&prep, base, &mut scores[..rows]);
-        // Tombstoned rows are dropped at candidate generation, before the
-        // rescore pool — a dead row must not displace a live candidate.
-        match deleted {
-            Some(tombs) if !tombs.is_empty() => {
-                for (i, &s) in scores[..rows].iter().enumerate() {
-                    let id = (base + i) as u32;
-                    if !tombs.contains(id) {
-                        top.push(id, s);
-                    }
-                }
-            }
-            _ => {
-                for (i, &s) in scores[..rows].iter().enumerate() {
-                    top.push((base + i) as u32, s);
-                }
-            }
-        }
-        base += rows;
-    }
-    if !rescore {
-        // Surrogate-only: report the quantized scores as-is. Distances
-        // carry quantization error; the caller flags the reply degraded.
-        let mut hits = top.into_sorted();
-        hits.truncate(k);
-        for h in &mut hits {
-            h.distance = metric.distance_from_surrogate(h.distance, unit_norm);
-        }
-        return BudgetedSearch {
-            hits,
-            complete,
-            visited: base,
+impl Sq8Plane {
+    /// Two-stage wave: the blocked scan ([`scan_wave`]) scores the plane's
+    /// codes with each member's prepared query into a `RESCORE_FACTOR · k`
+    /// pool, then the survivors are rescored exactly against `exact` (the
+    /// row-major uncompressed matrix, same row ids). Returned distances are
+    /// exact; `visited` counts quantized rows scored plus rows rescored.
+    ///
+    /// The rescore is cheap (≤ `RESCORE_FACTOR · k` rows), so it runs even
+    /// when the budget expired mid-scan — partial results stay exact. From
+    /// brownout rung 2 ([`Effort::Surrogate`]) there is no rescore and no
+    /// pool to over-collect into: the quantized scores are served as-is,
+    /// distances carry quantization error and the caller flags the reply
+    /// degraded.
+    pub(crate) fn two_stage_wave(
+        &self,
+        exact: &[f32],
+        metric: Metric,
+        unit_norm: bool,
+        req: &SearchRequest<'_>,
+    ) -> Vec<BudgetedSearch> {
+        let (dim, k) = (self.dim, req.k);
+        debug_assert_eq!(exact.len(), self.codes.len());
+        let preps: Vec<Sq8Query> = req
+            .members(dim)
+            .map(|q| self.prepare(q, metric, unit_norm))
+            .collect();
+        let rescore = req.budget.effort() < Effort::Surrogate;
+        let pool = if rescore {
+            k.saturating_mul(RESCORE_FACTOR).max(k)
+        } else {
+            k
         };
-    }
-    // Stage 2: exact rescore. Cheap (≤ RESCORE_FACTOR·k rows), so it runs
-    // even on an expired budget — partial results stay exact.
-    let survivors = top.into_sorted();
-    let rescored = survivors.len();
-    let mut final_top = TopK::new(k);
-    for h in &survivors {
-        let row = &exact[h.id as usize * dim..(h.id as usize + 1) * dim];
-        final_top.push(h.id, metric.surrogate_un(query, row, unit_norm));
-    }
-    let mut hits = final_top.into_sorted();
-    for h in &mut hits {
-        h.distance = metric.distance_from_surrogate(h.distance, unit_norm);
-    }
-    BudgetedSearch {
-        hits,
-        complete,
-        visited: base + rescored,
+        let mut wave = scan_wave(
+            self.len(),
+            preps.len(),
+            pool,
+            req.budget,
+            req.deleted,
+            |m, base, out| self.surrogate_block(&preps[m], base, out),
+        );
+        for (result, query) in wave.iter_mut().zip(req.members(dim)) {
+            if rescore {
+                let survivors = std::mem::replace(&mut result.hits, Vec::with_capacity(k));
+                result.visited += survivors.len();
+                for h in &survivors {
+                    let row = &exact[h.id as usize * dim..(h.id as usize + 1) * dim];
+                    let score = metric.surrogate_un(query, row, unit_norm);
+                    push_top(&mut result.hits, k, h.id, score);
+                }
+                result.hits.sort_by(Neighbor::rank);
+            }
+            for h in &mut result.hits {
+                h.distance = metric.distance_from_surrogate(h.distance, unit_norm);
+            }
+        }
+        wave
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
+    use crate::flat::SCAN_BLOCK;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// One L2 query as a wave of one over `plane`, rescored against `data`.
+    fn scan(plane: &Sq8Plane, data: &[f32], q: &[f32], budget: &Budget) -> BudgetedSearch {
+        let req = SearchRequest::one(q, 5, budget);
+        plane.two_stage_wave(data, Metric::L2, false, &req).remove(0)
+    }
 
     fn matrix(n: usize, dim: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -535,16 +495,7 @@ mod tests {
         let data = matrix(n, dim, 17);
         let plane = Sq8Plane::quantize(&data, dim);
         let q = matrix(1, dim, 18);
-        let out = scan_budgeted(
-            &plane,
-            &data,
-            Metric::L2,
-            false,
-            &q,
-            5,
-            &Budget::unlimited(),
-            None,
-        );
+        let out = scan(&plane, &data, &q, &Budget::unlimited());
         assert!(out.complete);
         assert_eq!(out.hits.len(), 5);
         // Every returned distance is the exact f32 distance.
@@ -566,26 +517,8 @@ mod tests {
         let data = matrix(n, dim, 17);
         let plane = Sq8Plane::quantize(&data, dim);
         let q = matrix(1, dim, 18);
-        let exact = scan_budgeted(
-            &plane,
-            &data,
-            Metric::L2,
-            false,
-            &q,
-            5,
-            &Budget::unlimited(),
-            None,
-        );
-        let cheap = scan_budgeted(
-            &plane,
-            &data,
-            Metric::L2,
-            false,
-            &q,
-            5,
-            &Budget::unlimited().with_effort(Effort::Surrogate),
-            None,
-        );
+        let exact = scan(&plane, &data, &q, &Budget::unlimited());
+        let cheap = scan(&plane, &data, &q, &Budget::unlimited().with_effort(Effort::Surrogate));
         assert!(cheap.complete);
         assert_eq!(cheap.hits.len(), 5);
         // Surrogate mode skips the per-survivor f32 reads entirely.
@@ -610,7 +543,7 @@ mod tests {
         let expired = Budget::with_deadline(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         );
-        let out = scan_budgeted(&plane, &data, Metric::L2, false, &q, 5, &expired, None);
+        let out = scan(&plane, &data, &q, &expired);
         assert!(!out.complete);
         for h in &out.hits {
             let row = &data[h.id as usize * dim..(h.id as usize + 1) * dim];
@@ -638,16 +571,7 @@ mod tests {
         let plane = Sq8Plane::quantize(&[], 8);
         assert!(plane.is_empty());
         assert_eq!(plane.len(), 0);
-        let out = scan_budgeted(
-            &plane,
-            &[],
-            Metric::L2,
-            false,
-            &[0f32; 8],
-            3,
-            &Budget::unlimited(),
-            None,
-        );
+        let out = scan(&plane, &[], &[0f32; 8], &Budget::unlimited());
         assert!(out.complete);
         assert!(out.hits.is_empty());
     }

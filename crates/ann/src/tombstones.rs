@@ -59,6 +59,19 @@ impl TombSet {
         self.count
     }
 
+    /// Number of deleted ids in `0..n` — the tombstones that can crowd the
+    /// top-k of an index holding `n` rows (a popcount over the covering
+    /// words).
+    pub fn count_below(&self, n: usize) -> usize {
+        let (full, rest) = (n / 64, n % 64);
+        let whole: usize = self.words.iter().take(full).map(|w| w.count_ones() as usize).sum();
+        let partial = self
+            .words
+            .get(full)
+            .map_or(0, |w| (w & ((1u64 << rest) - 1)).count_ones() as usize);
+        whole + partial
+    }
+
     /// True when nothing is deleted.
     pub fn is_empty(&self) -> bool {
         self.count == 0

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use deepjoin::model::DeepJoin;
-use deepjoin_ann::{Budget, FlatIndex, Metric, VectorIndex};
+use deepjoin_ann::{Budget, FlatIndex, Metric, SearchRequest, VectorIndex};
 use deepjoin_serve::{
     BrownoutConfig, Client, ClientError, ErrorCode, Health, Hit, LoadedSnapshot, QueryOutcome,
     QuerySpec, ServeModel, Server, ServerConfig, ServerHandle, WaveQuery,
@@ -386,23 +386,8 @@ impl ServeModel for FlatBenchModel {
         Health::Hnsw
     }
 
-    fn query(&self, _cells: &[String], name: &str, k: usize, budget: &Budget) -> QueryOutcome {
-        let q = query_vector(name, self.dim);
-        let r = self.index.search_budgeted(&q, k, budget);
-        QueryOutcome {
-            hits: r
-                .hits
-                .into_iter()
-                .map(|n| Hit {
-                    id: n.id,
-                    score: n.distance,
-                    label: format!("col#{}", n.id),
-                })
-                .collect(),
-            complete: r.complete,
-            visited: r.visited,
-            via_fallback: false,
-        }
+    fn query(&self, cells: &[String], name: &str, k: usize, budget: &Budget) -> QueryOutcome {
+        self.query_batch(&[WaveQuery { cells, name, k }], budget).remove(0)
     }
 
     fn query_batch(&self, wave: &[WaveQuery<'_>], budget: &Budget) -> Vec<QueryOutcome> {
@@ -421,8 +406,14 @@ impl ServeModel for FlatBenchModel {
         for w in wave {
             flat.extend_from_slice(&query_vector(w.name, self.dim));
         }
+        let req = SearchRequest {
+            queries: &flat,
+            k,
+            budget,
+            deleted: None,
+        };
         self.index
-            .search_budgeted_batch_filtered(&flat, k, budget, None)
+            .search_wave(&req)
             .into_iter()
             .map(|r| QueryOutcome {
                 hits: r

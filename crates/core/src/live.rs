@@ -43,7 +43,7 @@ use deepjoin_ann::budget::{Budget, BudgetedSearch};
 use deepjoin_ann::io::{decode_flat_v2_in, decode_tombs_in, encode_flat_v2, encode_tombs, MappedPayload};
 use deepjoin_ann::plane::ByteOwner;
 use deepjoin_ann::segmented::search_segments;
-use deepjoin_ann::{FlatIndex, Metric, TombSet, VectorIndex};
+use deepjoin_ann::{FlatIndex, Metric, SearchRequest, TombSet, VectorIndex};
 use deepjoin_lake::column::{Column, ColumnMeta};
 use deepjoin_par::Pool;
 use deepjoin_store::codec::{DecodeError, DecodeErrorKind, Reader, Writer};
@@ -560,6 +560,7 @@ fn local_dead(ids: &[u32], tombs: &TombSet) -> TombSet {
 /// whole request). Holds the global tombstone bitmap (for filtering the
 /// base index) and the live slabs in ascending-id order.
 pub struct LiveView {
+    dim: usize,
     base_len: u32,
     tombs: TombSet,
     slabs: Vec<Slab>,
@@ -572,7 +573,7 @@ impl LiveView {
     }
 
     /// Global deleted-id bitmap (base and live ids). Pass it to the base
-    /// index's filtered search so dropped base columns vanish too.
+    /// index as the request's `deleted` so dropped base columns vanish too.
     pub fn tombs(&self) -> &TombSet {
         &self.tombs
     }
@@ -619,23 +620,33 @@ impl LiveView {
         out
     }
 
-    /// Exact top-k over the live rows (dead rows filtered at candidate
-    /// collection), scatter-gathered across the slabs on the shared
-    /// worker pool and merged through the bounded top-k selector — so
-    /// the result holds at most `k` hits and is identical for any
-    /// thread count. Returned ids are global; the caller merges them
-    /// with the base index's hits through the same selector, so the
-    /// combined result is deterministic.
-    pub fn search(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
-        search_segments(&Pool::global(), &self.slabs, k, |slab| {
-            let mut r = slab
-                .index
-                .search_budgeted_filtered(query, k, budget, Some(&slab.dead));
-            for n in &mut r.hits {
+    /// Exact top-k over the live rows for every member of the wave,
+    /// scatter-gathered across the slabs on the shared worker pool — each
+    /// slab scans once per wave, rows-outer — and merged through the bounded
+    /// top-k selector, so every result holds at most `k` hits and is
+    /// identical for any thread count. The view filters through its own
+    /// tombstones (each slab's precomputed local mask), so `req.deleted` —
+    /// which speaks the base index's global ids — is not consulted. Returned
+    /// ids are global; the caller merges them with the base index's hits
+    /// through the same selector, so the combined result is deterministic.
+    pub fn search_wave(&self, req: &SearchRequest<'_>) -> Vec<BudgetedSearch> {
+        let nq = req.members(self.dim).len();
+        search_segments(&Pool::global(), &self.slabs, nq, req.k, |slab| {
+            let mut wave = slab.index.search_wave(&SearchRequest {
+                deleted: Some(&slab.dead),
+                ..*req
+            });
+            for n in wave.iter_mut().flat_map(|r| &mut r.hits) {
                 n.id = slab.ids[n.id as usize];
             }
-            r
+            wave
         })
+    }
+
+    /// [`LiveView::search_wave`] for a wave of one.
+    pub fn search(&self, query: &[f32], k: usize, budget: &Budget) -> BudgetedSearch {
+        let req = SearchRequest::one(query, k, budget);
+        self.search_wave(&req).pop().expect("one member, one result")
     }
 }
 
@@ -1361,6 +1372,7 @@ fn build_view(inner: &Inner, dim: usize, metric: Metric) -> LiveView {
         });
     }
     LiveView {
+        dim,
         base_len: inner.manifest.base_len,
         tombs: inner.tombs.clone(),
         slabs,
@@ -1427,9 +1439,7 @@ mod tests {
     }
 
     fn seg_hits(seg: &Segment, q: &[f32], k: usize) -> Vec<Neighbor> {
-        seg.index
-            .search_budgeted_filtered(q, k, &Budget::unlimited(), None)
-            .hits
+        seg.index.search(q, k)
     }
 
     #[test]

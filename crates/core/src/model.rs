@@ -2,9 +2,8 @@
 
 use deepjoin_ann::budget::{Budget, BudgetedSearch};
 use deepjoin_ann::flat::FlatIndex;
-use deepjoin_ann::TombSet;
 use deepjoin_ann::hnsw::{HnswConfig, HnswIndex};
-use deepjoin_ann::index::{Neighbor, VectorIndex};
+use deepjoin_ann::index::{Neighbor, SearchRequest, VectorIndex};
 use deepjoin_embed::cell_space::CellSpace;
 use deepjoin_embed::ngram::{NgramConfig, NgramEmbedder};
 use deepjoin_embed::sgns::{train_sgns, SgnsConfig};
@@ -169,8 +168,8 @@ impl IndexHealth {
 }
 
 /// Result of a budgeted, ladder-protected search
-/// ([`DeepJoin::search_embedded_budgeted`]): the hits plus an honest
-/// account of how they were obtained.
+/// ([`DeepJoin::search_wave`]): the hits plus an honest account of how they
+/// were obtained.
 #[derive(Debug, Clone)]
 pub struct LadderSearch {
     /// Best hits found, highest score (closest) first.
@@ -182,6 +181,26 @@ pub struct LadderSearch {
     pub visited: usize,
     /// True when the HNSW path failed and the exact-scan rescue answered.
     pub via_fallback: bool,
+}
+
+impl LadderSearch {
+    /// An index's answer in the model's terms: column ids, negated
+    /// distances as scores (higher = closer).
+    fn new(result: BudgetedSearch, via_fallback: bool) -> Self {
+        Self {
+            hits: result
+                .hits
+                .into_iter()
+                .map(|Neighbor { id, distance }| ScoredColumn {
+                    id: ColumnId(id),
+                    score: -distance as f64,
+                })
+                .collect(),
+            complete: result.complete,
+            visited: result.visited,
+            via_fallback,
+        }
+    }
 }
 
 /// The trained DeepJoin model.
@@ -455,156 +474,92 @@ impl DeepJoin {
     /// Euclidean distance (§3.3). Returned ids are repository column ids
     /// (insertion order), scores are negated distances (higher = closer).
     pub fn search(&self, query: &Column, k: usize) -> Vec<ScoredColumn> {
-        let v = self.embed_column(query);
-        self.search_embedded(&v, k)
+        self.search_embedded(&self.embed_column(query), k)
     }
 
-    /// ANNS part only (for timing decomposition in the benchmarks).
+    /// ANNS part only (for timing decomposition in the benchmarks): a wave
+    /// of one under an unlimited budget.
     pub fn search_embedded(&self, query_embedding: &[f32], k: usize) -> Vec<ScoredColumn> {
-        let neighbors = match &self.index {
-            IndexState::None => panic!("index_repository() first"),
-            IndexState::Hnsw(index) => index.search(query_embedding, k),
-            IndexState::DegradedFlat { index, .. } => index.search(query_embedding, k),
-        };
-        neighbors
-            .into_iter()
-            .map(|Neighbor { id, distance }| ScoredColumn {
-                id: ColumnId(id),
-                score: -distance as f64,
-            })
-            .collect()
+        self.search_embedded_budgeted(query_embedding, k, &Budget::unlimited())
+            .hits
     }
 
-    /// [`DeepJoin::search_embedded`] under a cooperative [`Budget`], with
-    /// the full degradation ladder (see [`LadderSearch`]):
-    ///
-    /// 1. a healthy HNSW graph runs a budgeted graph search; if the graph
-    ///    traversal *panics* (e.g. an index corrupted in memory), the panic
-    ///    is caught and the query re-runs as a budgeted exact scan over the
-    ///    graph's own vectors;
-    /// 2. a degraded model (flat fallback from load time) runs the budgeted
-    ///    exact scan directly;
-    /// 3. when the budget expires mid-scan on any rung, the best-so-far
-    ///    partial top-k is returned with `complete == false` instead of
-    ///    nothing.
-    ///
-    /// An empty index returns an empty, complete result (no panic — this
-    /// path is reachable from the server, which must not die on it).
+    /// [`DeepJoin::search_embedded`] under a cooperative [`Budget`]: a wave
+    /// of one through [`DeepJoin::search_wave`].
     pub fn search_embedded_budgeted(
         &self,
         query_embedding: &[f32],
         k: usize,
         budget: &Budget,
     ) -> LadderSearch {
-        self.search_embedded_budgeted_filtered(query_embedding, k, budget, None)
+        assert_eq!(query_embedding.len(), self.config.dim, "dimension mismatch");
+        let req = SearchRequest::one(query_embedding, k, budget);
+        self.search_wave(&req).pop().expect("one member, one result")
     }
 
-    /// [`DeepJoin::search_embedded_budgeted`] with a tombstone filter:
-    /// ids in `deleted` never appear in the hits, on any rung of the
-    /// ladder (graph search, flat rescue, or degraded flat). This is how
-    /// the live lake makes `drop-table` effective on the very next query
-    /// without rebuilding the index (DESIGN.md §13).
-    pub fn search_embedded_budgeted_filtered(
-        &self,
-        query_embedding: &[f32],
-        k: usize,
-        budget: &Budget,
-        deleted: Option<&TombSet>,
-    ) -> LadderSearch {
-        let (result, via_fallback) = match &self.index {
-            IndexState::None => (
-                BudgetedSearch {
+    /// The one search entry point: answer a wave of query embeddings
+    /// (`req.queries`, row-major) at `req.k` under `req.budget`, never
+    /// returning an id in `req.deleted` — which is how the live lake makes
+    /// `drop-table` effective on the very next query without rebuilding the
+    /// index (DESIGN.md §13). Every member walks the degradation ladder
+    /// (see [`LadderSearch`]) and gets the answer it would get asked alone:
+    ///
+    /// 1. a healthy HNSW graph runs a budgeted graph search per member; if a
+    ///    traversal *panics* (e.g. an index corrupted in memory), the panic
+    ///    is caught and that member re-runs as a budgeted exact scan over
+    ///    the graph's own vectors;
+    /// 2. a degraded model (flat fallback from load time) answers the wave
+    ///    with one rows-outer exact scan — each vector block is pulled
+    ///    through the cache once per wave instead of once per query;
+    /// 3. when the budget expires mid-search on any rung, the best-so-far
+    ///    partial top-k is returned with `complete == false` instead of
+    ///    nothing.
+    ///
+    /// A model without an index answers every member with an empty, complete
+    /// result (no panic — this path is reachable from the server, which must
+    /// not die on it).
+    pub fn search_wave(&self, req: &SearchRequest<'_>) -> Vec<LadderSearch> {
+        let dim = self.config.dim;
+        match &self.index {
+            IndexState::None => req
+                .members(dim)
+                .map(|_| LadderSearch {
                     hits: Vec::new(),
                     complete: true,
                     visited: 0,
-                },
-                false,
-            ),
-            IndexState::Hnsw(index) => {
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    index.search_budgeted_filtered(query_embedding, k, budget, deleted)
-                }));
-                match attempt {
-                    Ok(result) => (result, false),
-                    // The graph path failed outright; rescue with an exact
-                    // scan over the same vectors, still under the budget.
-                    Err(_) => (
-                        index.flat_scan_budgeted_filtered(query_embedding, k, budget, deleted),
-                        true,
-                    ),
-                }
-            }
-            IndexState::DegradedFlat { index, .. } => (
-                index.search_budgeted_filtered(query_embedding, k, budget, deleted),
-                false,
-            ),
-        };
-        LadderSearch {
-            hits: result
-                .hits
-                .into_iter()
-                .map(|Neighbor { id, distance }| ScoredColumn {
-                    id: ColumnId(id),
-                    score: -distance as f64,
-                })
-                .collect(),
-            complete: result.complete,
-            visited: result.visited,
-            via_fallback,
-        }
-    }
-
-    /// Batched [`Self::search_embedded_budgeted_filtered`]: a whole wave of
-    /// query embeddings answered together under one budget (the caller
-    /// passes the min of the wave members' deadlines). On the degraded-flat
-    /// rung the wave runs one rows-outer batched scan — each vector block
-    /// is pulled through the cache once per wave instead of once per query
-    /// (`deepjoin_ann::flat::scan_budgeted_batch`). On a healthy graph each
-    /// member runs its own traversal (graph walks don't share row blocks),
-    /// with the same per-query panic-rescue ladder. Either way, every
-    /// member's result is bit-identical to the single-query path.
-    pub fn search_embedded_batch_budgeted_filtered(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        budget: &Budget,
-        deleted: Option<&TombSet>,
-    ) -> Vec<LadderSearch> {
-        if let IndexState::DegradedFlat { index, .. } = &self.index {
-            let dim = index.dim();
-            let mut flat_queries = Vec::with_capacity(queries.len() * dim);
-            for q in queries {
-                assert_eq!(q.len(), dim, "dimension mismatch");
-                flat_queries.extend_from_slice(q);
-            }
-            return index
-                .search_budgeted_batch_filtered(&flat_queries, k, budget, deleted)
-                .into_iter()
-                .map(|result| LadderSearch {
-                    hits: result
-                        .hits
-                        .into_iter()
-                        .map(|Neighbor { id, distance }| ScoredColumn {
-                            id: ColumnId(id),
-                            score: -distance as f64,
-                        })
-                        .collect(),
-                    complete: result.complete,
-                    visited: result.visited,
                     via_fallback: false,
                 })
-                .collect();
+                .collect(),
+            IndexState::Hnsw(index) => {
+                let graph = |req: &SearchRequest<'_>| {
+                    let traversal = std::panic::AssertUnwindSafe(|| index.search_wave(req));
+                    std::panic::catch_unwind(traversal)
+                };
+                match graph(req) {
+                    Ok(wave) => wave.into_iter().map(|r| LadderSearch::new(r, false)).collect(),
+                    // A traversal failed outright. Ask member by member, so
+                    // only the members whose own traversal fails are rescued
+                    // by the exact scan over the same vectors — still under
+                    // the budget, still behind the filter.
+                    Err(_) => req
+                        .members(dim)
+                        .flat_map(|queries| {
+                            let one = SearchRequest { queries, ..*req };
+                            let (wave, via_fallback) = match graph(&one) {
+                                Ok(wave) => (wave, false),
+                                Err(_) => (index.flat_rescue(&one), true),
+                            };
+                            wave.into_iter().map(move |r| LadderSearch::new(r, via_fallback))
+                        })
+                        .collect(),
+                }
+            }
+            IndexState::DegradedFlat { index, .. } => index
+                .search_wave(req)
+                .into_iter()
+                .map(|r| LadderSearch::new(r, false))
+                .collect(),
         }
-        queries
-            .iter()
-            .map(|q| self.search_embedded_budgeted_filtered(q, k, budget, deleted))
-            .collect()
-    }
-
-    /// [`DeepJoin::search`] under a budget: encode, then run the ladder.
-    pub fn search_budgeted(&self, query: &Column, k: usize, budget: &Budget) -> LadderSearch {
-        let v = self.embed_column(query);
-        self.search_embedded_budgeted(&v, k, budget)
     }
 
     /// Number of indexed columns (0 before `index_repository`).
@@ -761,12 +716,74 @@ mod tests {
         assert_eq!(model.embed_column(&c), model.embed_column(&c));
     }
 
+    /// Without an index every path answers the same way: nothing found,
+    /// nothing left unsearched — the server must not die on this.
     #[test]
-    #[should_panic]
-    fn search_before_index_panics() {
+    fn search_before_index_is_empty_and_complete_on_every_path() {
         let (train, _, _) = small_setup();
         let (model, _) = DeepJoin::train(&train, JoinType::Equi, quick_config(Variant::DistilLite));
         let c = Column::from_cells(["x", "y", "z", "w", "v"]);
-        let _ = model.search(&c, 5);
+        assert!(model.search(&c, 5).is_empty());
+        let v = model.embed_column(&c);
+        assert!(model.search_embedded(&v, 5).is_empty());
+        let wave = [v.clone(), v].concat();
+        let req = SearchRequest {
+            queries: &wave,
+            k: 5,
+            budget: &Budget::unlimited(),
+            deleted: None,
+        };
+        let answers = model.search_wave(&req);
+        assert_eq!(answers.len(), 2);
+        for a in &answers {
+            assert!(a.hits.is_empty() && a.complete && !a.via_fallback);
+            assert_eq!(a.visited, 0);
+        }
+    }
+
+    /// The ladder's rescue rung: a graph whose traversal panics (an edge to
+    /// a row that does not exist) still answers, member by member, from the
+    /// exact scan over its own vectors — flagged, filtered and identical to
+    /// what each member gets asked alone.
+    #[test]
+    fn a_panicking_graph_is_rescued_by_the_exact_scan() {
+        let mut model = DeepJoin::synthetic(64, 8, 5);
+        let IndexState::Hnsw(healthy) = &model.index else {
+            unreachable!("synthetic models carry a graph")
+        };
+        let vectors = healthy.vectors().to_vec();
+        let mut exact = FlatIndex::new(8, model.config.hnsw.metric);
+        exact.add_batch(&vectors);
+        let mut nodes: Vec<Vec<Vec<u32>>> = (0..64u32).map(|i| vec![vec![(i + 1) % 64]]).collect();
+        nodes[0][0].push(9_999);
+        model.index = IndexState::Hnsw(HnswIndex::from_raw_parts(
+            model.config.hnsw,
+            8,
+            vectors.clone(),
+            nodes,
+            Some(0),
+            0,
+            5,
+        ));
+        let tombs: deepjoin_ann::TombSet = [3u32].into_iter().collect();
+        let req = SearchRequest {
+            queries: &vectors[..3 * 8],
+            k: 4,
+            budget: &Budget::unlimited(),
+            deleted: Some(&tombs),
+        };
+        let wave = model.search_wave(&req);
+        assert_eq!(wave.len(), 3);
+        for (member, want) in wave.iter().zip(exact.search_wave(&req)) {
+            assert!(member.via_fallback && member.complete);
+            let got: Vec<u32> = member.hits.iter().map(|h| h.id.0).collect();
+            assert_eq!(got, want.hits.iter().map(|h| h.id).collect::<Vec<_>>());
+            assert!(!got.contains(&3));
+        }
+        let alone = model.search_wave(&SearchRequest {
+            queries: &vectors[8..16],
+            ..req
+        });
+        assert_eq!(alone[0].hits, wave[1].hits);
     }
 }

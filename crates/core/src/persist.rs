@@ -1266,15 +1266,18 @@ mod tests {
         k: usize,
         tombs: Option<&deepjoin_ann::TombSet>,
     ) -> Vec<(u32, u32)> {
-        let budget = deepjoin_ann::Budget::unlimited();
+        let req = deepjoin_ann::SearchRequest {
+            queries: q,
+            k,
+            budget: &deepjoin_ann::Budget::unlimited(),
+            deleted: tombs,
+        };
         let r = match &model.index {
-            IndexState::Hnsw(i) => i.search_budgeted_filtered(q, k, &budget, tombs),
-            IndexState::DegradedFlat { index, .. } => {
-                index.search_budgeted_filtered(q, k, &budget, tombs)
-            }
+            IndexState::Hnsw(i) => i.search_wave(&req),
+            IndexState::DegradedFlat { index, .. } => index.search_wave(&req),
             IndexState::None => panic!("model lost its index"),
         };
-        r.hits.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+        r[0].hits.iter().map(|n| (n.id, n.distance.to_bits())).collect()
     }
 
     /// The tentpole acceptance property: for every index shape the

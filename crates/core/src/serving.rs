@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 use deepjoin_store::SharedIo;
 
-use deepjoin_ann::index::TopK;
-use deepjoin_ann::Budget;
+use deepjoin_ann::index::{finalize_hits, push_top};
+use deepjoin_ann::{Budget, SearchRequest};
 use deepjoin_lake::column::{Column, ColumnMeta};
 use deepjoin_lake::repository::Repository;
 use deepjoin_serve::{
@@ -21,7 +21,7 @@ use deepjoin_serve::{
 };
 
 use crate::live::{model_fingerprint, LiveLake, LiveView};
-use crate::model::{DeepJoin, IndexHealth, LadderSearch};
+use crate::model::{DeepJoin, IndexHealth};
 use crate::persist::load_model_path;
 
 /// FNV-1a over the query identity: the column name and the exact cell
@@ -43,6 +43,17 @@ fn query_key(cells: &[String], name: &str) -> u64 {
         eat(&[0xFE]);
     }
     h
+}
+
+/// The column a query's cells and name stand for.
+fn probe_column(cells: &[String], name: &str) -> Column {
+    Column::new(
+        cells.to_vec(),
+        ColumnMeta {
+            column_name: name.to_string(),
+            ..ColumnMeta::default()
+        },
+    )
 }
 
 /// Fixed-capacity LRU of query embeddings, keyed by [`query_key`]. The
@@ -161,95 +172,88 @@ impl ServedModel {
         self
     }
 
-    fn label(&self, id: u32) -> String {
-        match self.repo.get(deepjoin_lake::column::ColumnId(id)) {
-            Some(col) => format!("{}.{}", col.meta.table_title, col.meta.column_name),
-            None => format!("col#{id}"),
-        }
-    }
-
-    /// The query embedding, from cache when possible. The encoder pass runs
-    /// outside the lock, so concurrent misses never serialize on it.
-    fn embed_cached(&self, column: &Column, cells: &[String], name: &str) -> Vec<f32> {
-        let Some(cache) = &self.cache else {
-            return self.model.embed_column(column);
+    /// One wire hit: base ids are labelled from the repository, live ids
+    /// from the view that answered.
+    fn hit(&self, view: Option<&LiveView>, id: u32, score: f32) -> Hit {
+        let label = match view {
+            Some(view) if id >= view.base_len() => match view.label(id) {
+                Some((t, c)) => format!("{t}.{c}"),
+                None => format!("col#{id}"),
+            },
+            _ => match self.repo.get(deepjoin_lake::column::ColumnId(id)) {
+                Some(col) => format!("{}.{}", col.meta.table_title, col.meta.column_name),
+                None => format!("col#{id}"),
+            },
         };
-        let key = query_key(cells, name);
-        if let Some(hit) = cache.lock().expect("query cache lock").get(key) {
-            return hit;
-        }
-        let v = self.model.embed_column(column);
-        cache
-            .lock()
-            .expect("query cache lock")
-            .insert(key, v.clone());
-        v
+        Hit { id, score, label }
     }
 
-    /// Package a base-index-only ladder result as a wire outcome.
-    fn base_outcome(&self, ladder: LadderSearch) -> QueryOutcome {
-        QueryOutcome {
-            hits: ladder
-                .hits
-                .into_iter()
-                .map(|sc| Hit {
-                    id: sc.id.0,
-                    // The wire carries the raw distance; ScoredColumn
-                    // holds the negated score.
-                    score: -sc.score as f32,
-                    label: self.label(sc.id.0),
-                })
-                .collect(),
-            complete: ladder.complete,
-            visited: ladder.visited,
-            via_fallback: ladder.via_fallback,
+    /// The cached embedding of the query identified by `key` (`None` on a
+    /// miss, or without a cache).
+    fn cached(&self, key: u64) -> Option<Vec<f32>> {
+        self.cache.as_ref()?.lock().expect("query cache lock").get(key)
+    }
+
+    /// Offer a freshly computed embedding to the cache. The encoder pass
+    /// that produced it ran outside the lock, so concurrent misses never
+    /// serialize on it.
+    fn remember(&self, key: u64, embedding: &[f32]) {
+        if let Some(cache) = &self.cache {
+            cache
+                .lock()
+                .expect("query cache lock")
+                .insert(key, embedding.to_vec());
         }
     }
 
-    /// Finish one live-path answer: scan the live slabs for this query and
-    /// merge the base hits with them through the same bounded top-k
-    /// selector the indexes use — deterministic regardless of which side a
-    /// hit came from.
-    fn merged_outcome(
-        &self,
-        view: &LiveView,
-        base: LadderSearch,
-        embedding: &[f32],
-        k: usize,
-        budget: &Budget,
-    ) -> QueryOutcome {
-        let live_hits = view.search(embedding, k, budget);
-        let mut top = TopK::new(k);
-        for sc in &base.hits {
-            top.push(sc.id.0, (-sc.score) as f32);
-        }
-        for n in &live_hits.hits {
-            top.push(n.id, n.distance);
-        }
-        QueryOutcome {
-            hits: top
-                .into_sorted()
-                .into_iter()
-                .map(|n| {
-                    let label = if n.id < view.base_len() {
-                        self.label(n.id)
-                    } else {
-                        match view.label(n.id) {
-                            Some((t, c)) => format!("{t}.{c}"),
-                            None => format!("col#{}", n.id),
+    /// Answer a wave of embeddings (row-major) at one `k`: the model's
+    /// ladder search and, with a live lake, the scan of its slabs — both
+    /// over one request and one view snapshot. The base index is filtered
+    /// through the view's tombstones (dropped base columns vanish on the
+    /// very next query); each member's base and live hits then merge
+    /// through the same bounded top-k selector the indexes use, so the
+    /// answer is deterministic regardless of which side a hit came from.
+    fn answer_wave(&self, queries: &[f32], k: usize, budget: &Budget) -> Vec<QueryOutcome> {
+        let view = self.live.as_ref().map(|live| live.view());
+        let view = view.as_deref();
+        let req = SearchRequest {
+            queries,
+            k,
+            budget,
+            deleted: view.map(LiveView::tombs),
+        };
+        let base = self.model.search_wave(&req);
+        let mut live = view.map_or_else(Vec::new, |v| v.search_wave(&req)).into_iter();
+        base.into_iter()
+            .map(|ladder| {
+                let (mut complete, mut visited) = (ladder.complete, ladder.visited);
+                // The wire carries the raw distance; ScoredColumn holds the
+                // negated score.
+                let base_hits = ladder.hits.iter().map(|sc| (sc.id.0, -sc.score as f32));
+                let hits = match live.next() {
+                    None => base_hits.map(|(id, d)| self.hit(view, id, d)).collect(),
+                    Some(slabs) => {
+                        complete &= slabs.complete;
+                        visited += slabs.visited;
+                        let mut top = Vec::with_capacity(k);
+                        let live_hits = slabs.hits.iter().map(|n| (n.id, n.distance));
+                        for (id, d) in base_hits.chain(live_hits) {
+                            push_top(&mut top, k, id, d);
                         }
-                    };
-                    Hit {
-                        id: n.id,
-                        score: n.distance,
-                        label,
+                        finalize_hits(top, k)
+                            .into_iter()
+                            .map(|n| self.hit(view, n.id, n.distance))
+                            .collect()
                     }
-                })
-                .collect(),
-            complete: base.complete && live_hits.complete,
-            visited: base.visited + live_hits.visited,
-            via_fallback: base.via_fallback,
-        }
+                };
+                QueryOutcome {
+                    hits,
+                    complete,
+                    visited,
+                    via_fallback: ladder.via_fallback,
+                }
+            })
+            .collect()
     }
 }
 
@@ -270,26 +274,15 @@ impl ServeModel for ServedModel {
     }
 
     fn query(&self, cells: &[String], name: &str, k: usize, budget: &Budget) -> QueryOutcome {
-        let column = Column::new(
-            cells.to_vec(),
-            ColumnMeta {
-                column_name: name.to_string(),
-                ..ColumnMeta::default()
-            },
-        );
-        let embedding = self.embed_cached(&column, cells, name);
-        let Some(live) = &self.live else {
-            return self.base_outcome(self.model.search_embedded_budgeted(&embedding, k, budget));
-        };
-        // Live path: one view snapshot answers the whole request. The base
-        // index is filtered through the view's tombstones (dropped base
-        // columns vanish on the very next query), then the live slabs merge
-        // in (see `merged_outcome`).
-        let view = live.view();
-        let base =
-            self.model
-                .search_embedded_budgeted_filtered(&embedding, k, budget, Some(view.tombs()));
-        self.merged_outcome(&view, base, &embedding, k, budget)
+        let key = query_key(cells, name);
+        let embedding = self.cached(key).unwrap_or_else(|| {
+            let v = self.model.embed_column(&probe_column(cells, name));
+            self.remember(key, &v);
+            v
+        });
+        self.answer_wave(&embedding, k, budget)
+            .pop()
+            .expect("one member, one outcome")
     }
 
     fn query_batch(&self, wave: &[WaveQuery<'_>], budget: &Budget) -> Vec<QueryOutcome> {
@@ -333,14 +326,7 @@ impl ServeModel for ServedModel {
         }
         let mut embeddings: Vec<Option<Vec<f32>>> = embed_uniques
             .iter()
-            .map(|&i| {
-                let q = &wave[i];
-                self.cache.as_ref().and_then(|c| {
-                    c.lock()
-                        .expect("query cache lock")
-                        .get(query_key(q.cells, q.name))
-                })
-            })
+            .map(|&i| self.cached(query_key(wave[i].cells, wave[i].name)))
             .collect();
         let miss_slots: Vec<usize> = embeddings
             .iter()
@@ -351,16 +337,7 @@ impl ServeModel for ServedModel {
         if !miss_slots.is_empty() {
             let columns: Vec<Column> = miss_slots
                 .iter()
-                .map(|&s| {
-                    let q = &wave[embed_uniques[s]];
-                    Column::new(
-                        q.cells.to_vec(),
-                        ColumnMeta {
-                            column_name: q.name.to_string(),
-                            ..ColumnMeta::default()
-                        },
-                    )
-                })
+                .map(|&s| probe_column(wave[embed_uniques[s]].cells, wave[embed_uniques[s]].name))
                 .collect();
             let encoded = crate::batch::encode_queries_parallel(
                 &self.model,
@@ -368,19 +345,14 @@ impl ServeModel for ServedModel {
                 deepjoin_par::Pool::global().threads(),
             );
             for (&s, v) in miss_slots.iter().zip(encoded) {
-                if let Some(cache) = &self.cache {
-                    let q = &wave[embed_uniques[s]];
-                    cache
-                        .lock()
-                        .expect("query cache lock")
-                        .insert(query_key(q.cells, q.name), v.clone());
-                }
+                let q = &wave[embed_uniques[s]];
+                self.remember(query_key(q.cells, q.name), &v);
                 embeddings[s] = Some(v);
             }
         }
-        // One batched ladder search per distinct k (real waves are almost
-        // always homogeneous, so this is one call), then fan the unique
-        // answers back out to the wave.
+        // One wave per distinct k (real waves are almost always
+        // homogeneous, so this is one call), then fan the unique answers
+        // back out to the requesters.
         let mut by_k: Vec<(usize, Vec<usize>)> = Vec::new();
         for (s, &i) in uniques.iter().enumerate() {
             let k = wave[i].k;
@@ -391,34 +363,14 @@ impl ServeModel for ServedModel {
         }
         let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; uniques.len()];
         for (k, slots) in by_k {
-            let refs: Vec<&[f32]> = slots
-                .iter()
-                .map(|&s| embeddings[embed_slot_of[s]].as_deref().expect("embedded above"))
-                .collect();
-            match &self.live {
-                None => {
-                    let ladders = self
-                        .model
-                        .search_embedded_batch_budgeted_filtered(&refs, k, budget, None);
-                    for (&s, ladder) in slots.iter().zip(ladders) {
-                        outcomes[s] = Some(self.base_outcome(ladder));
-                    }
-                }
-                Some(live) => {
-                    let view = live.view();
-                    let ladders = self.model.search_embedded_batch_budgeted_filtered(
-                        &refs,
-                        k,
-                        budget,
-                        Some(view.tombs()),
-                    );
-                    for (&s, ladder) in slots.iter().zip(ladders) {
-                        let embedding =
-                            embeddings[embed_slot_of[s]].as_deref().expect("embedded above");
-                        outcomes[s] =
-                            Some(self.merged_outcome(&view, ladder, embedding, k, budget));
-                    }
-                }
+            let mut queries = Vec::with_capacity(slots.len() * self.model.config().dim);
+            for &s in &slots {
+                queries.extend_from_slice(
+                    embeddings[embed_slot_of[s]].as_deref().expect("embedded above"),
+                );
+            }
+            for (&s, outcome) in slots.iter().zip(self.answer_wave(&queries, k, budget)) {
+                outcomes[s] = Some(outcome);
             }
         }
         slot_of
@@ -704,6 +656,56 @@ mod tests {
         assert_eq!(batch, singles, "waves must not change answers");
         // The third member shared the first member's embedding and search.
         assert_eq!(served.dedup_hits(), 1);
+    }
+
+    /// A wave over a live lake: the base index and every slab are searched
+    /// once for the whole wave, and each member's answer — hits, labels,
+    /// `complete` and `visited` (no slab counted twice, none skipped) — is
+    /// the one `query` gives it alone.
+    #[test]
+    fn live_lake_wave_visits_each_slab_once_and_matches_single_queries() {
+        let (served, query) = tiny_served();
+        let io: SharedIo = Arc::new(deepjoin_store::MemIo::new());
+        let lake = LiveLake::open(io, "live".into(), &served.model).expect("open").lake;
+        for t in 0..3 {
+            let cells: Vec<String> = query.cells.iter().map(|c| format!("{c}{t}")).collect();
+            let table = [("probe".to_string(), cells), ("other".to_string(), query.cells.clone())];
+            lake.add_table(&served.model, &format!("live{t}"), &table).expect("add");
+            if t < 2 {
+                lake.flush().expect("flush");
+            }
+        }
+        lake.drop_table("live1", &[0]).expect("drop");
+        assert_eq!(lake.view().slab_count(), 3);
+        let served = served.with_live(lake);
+
+        let probes: Vec<Vec<String>> = (0..5)
+            .map(|i| query.cells.iter().skip(i % 4).cloned().collect())
+            .collect();
+        let singles: Vec<QueryOutcome> = probes
+            .iter()
+            .map(|cells| served.query(cells, "probe", 6, &Budget::unlimited()))
+            .collect();
+        let wave: Vec<WaveQuery<'_>> = probes
+            .iter()
+            .map(|cells| WaveQuery { cells, name: "probe", k: 6 })
+            .collect();
+        assert_eq!(served.query_batch(&wave, &Budget::unlimited()), singles);
+        assert_eq!(served.dedup_hits(), 1, "members 0 and 4 are one query");
+        let view = served.live.as_ref().expect("live").view();
+        for (cells, out) in probes.iter().zip(&singles) {
+            let req = SearchRequest {
+                queries: &served.model.embed_column(&probe_column(cells, "probe")),
+                k: 6,
+                budget: &Budget::unlimited(),
+                deleted: Some(view.tombs()),
+            };
+            let base = served.model.search_wave(&req).remove(0);
+            assert!(out.complete);
+            assert_eq!(out.visited, base.visited + 6, "six slab rows, each scored once");
+            assert!(out.hits.iter().all(|h| h.id != 0 && !h.label.starts_with("live1.")));
+            assert!(out.hits.iter().any(|h| h.label.starts_with("live")));
+        }
     }
 
     #[test]

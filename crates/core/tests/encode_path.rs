@@ -235,3 +235,62 @@ fn fused_forward_matches_the_parent_forward() {
         queries.len()
     );
 }
+
+/// Most allocations any one call of `f` makes, over `queries` (one warm-up
+/// lap first: the graph scratch and the sort buffers grow once per thread).
+fn worst_call(queries: &[Vec<f32>], f: impl Fn(&[f32])) -> u64 {
+    queries.iter().for_each(|q| f(q));
+    queries
+        .iter()
+        .map(|q| allocations(|| f(q)))
+        .max()
+        .expect("queries")
+}
+
+/// The search half of the query path, counted the same way: a single query
+/// is a wave of one, and entering through the wave costs one allocation (the
+/// one-element result vector) over the entry points it replaced.
+#[test]
+fn search_path_allocations_are_pinned() {
+    /// Measured at the commit before `SearchRequest`.
+    const PARENT_SEARCH_EMBEDDED: u64 = 2;
+    const PARENT_LIVE_SEARCH: u64 = 13;
+
+    let (model, queries) = setup();
+    let embeddings: Vec<Vec<f32>> = queries[..40].iter().map(|q| model.embed_column(q)).collect();
+    let graph = worst_call(&embeddings, |q| {
+        std::hint::black_box(model.search_embedded(q, 10));
+    });
+    assert!(
+        graph <= PARENT_SEARCH_EMBEDDED + 1,
+        "search_embedded: {graph} allocations a call"
+    );
+
+    // Three flushed segments and a memtable: four slabs, scanned on this
+    // thread (a serial pool) so every allocation lands on this counter.
+    let io: deepjoin_store::SharedIo = std::sync::Arc::new(deepjoin_store::MemIo::new());
+    let lake = deepjoin::live::LiveLake::open(io, "live".into(), model)
+        .expect("open")
+        .lake;
+    for t in 0..4 {
+        let columns: Vec<(String, Vec<String>)> = (0..5)
+            .map(|c| (format!("c{c}"), (0..8).map(|i| format!("v{t}-{c}-{i}")).collect()))
+            .collect();
+        lake.add_table(model, &format!("t{t}"), &columns).expect("add");
+        if t < 3 {
+            lake.flush().expect("flush");
+        }
+    }
+    let view = lake.view();
+    assert_eq!(view.slab_count(), 4);
+    deepjoin_par::Pool::set_global_threads(1);
+    let budget = deepjoin_ann::Budget::unlimited();
+    let slabs = worst_call(&embeddings, |q| {
+        std::hint::black_box(view.search(q, 10, &budget));
+    });
+    deepjoin_par::Pool::set_global_threads(0);
+    assert!(
+        slabs <= PARENT_LIVE_SEARCH + 1,
+        "LiveView::search over 4 slabs: {slabs} allocations a call"
+    );
+}

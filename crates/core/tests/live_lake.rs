@@ -22,10 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use deepjoin::live::LiveLake;
-use deepjoin::model::{DeepJoin, DeepJoinConfig};
+use deepjoin::model::{DeepJoin, DeepJoinConfig, LadderSearch};
 use deepjoin::train::{FineTuneConfig, JoinType};
-use deepjoin_ann::index::TopK;
-use deepjoin_ann::{Budget, FlatIndex, VectorIndex};
+use deepjoin_ann::index::{finalize_hits, push_top};
+use deepjoin_ann::{Budget, FlatIndex, SearchRequest, TombSet, VectorIndex};
 use deepjoin_lake::corpus::{Corpus, CorpusConfig, CorpusProfile};
 use deepjoin_lake::{Column, ColumnMeta, MutationOracle, Repository};
 use deepjoin_store::{ArtifactIo, KillPointIo, MemIo, SharedIo};
@@ -47,6 +47,17 @@ fn tiny_model(indexed: bool) -> (DeepJoin, Repository) {
         model.index_repository(&repo);
     }
     (model, repo)
+}
+
+/// One embedded query against the base index, behind a tombstone filter.
+fn filtered(model: &DeepJoin, query: &[f32], k: usize, tombs: &TombSet) -> LadderSearch {
+    let req = SearchRequest {
+        queries: query,
+        k,
+        budget: &Budget::unlimited(),
+        deleted: Some(tombs),
+    };
+    model.search_wave(&req).remove(0)
 }
 
 fn live_dir() -> PathBuf {
@@ -326,12 +337,11 @@ fn random_mutation_interleavings_match_a_from_scratch_rebuild() {
                 &[format!("{seed}-probe-{probe}"), "shared".to_string()],
             );
             let live = view.search(&query, k, &Budget::unlimited());
-            let mut merged = TopK::new(k);
+            let mut merged = Vec::new();
             for n in &live.hits {
-                merged.push(n.id, n.distance);
+                push_top(&mut merged, k, n.id, n.distance);
             }
-            let got: Vec<(String, u32)> = merged
-                .into_sorted()
+            let got: Vec<(String, u32)> = finalize_hits(merged, k)
                 .into_iter()
                 .map(|n| {
                     let (t, c) = view.label(n.id).expect("hit label");
@@ -392,12 +402,7 @@ fn dropped_base_tables_vanish_immediately_and_never_reappear() {
 
     let query = model.embed_column(&repo.columns()[0].clone());
     let k = model.indexed_len();
-    let before = model.search_embedded_budgeted_filtered(
-        &query,
-        k,
-        &Budget::unlimited(),
-        Some(lake.view().tombs()),
-    );
+    let before = filtered(&model, &query, k, lake.view().tombs());
     assert!(
         before.hits.iter().any(|h| victim_ids.contains(&h.id.0)),
         "victim must be findable before the drop"
@@ -406,12 +411,7 @@ fn dropped_base_tables_vanish_immediately_and_never_reappear() {
     lake.drop_table(&victim, &victim_ids).expect("drop");
 
     // Effective on the very next filtered search — no flush, no restart.
-    let after = model.search_embedded_budgeted_filtered(
-        &query,
-        k,
-        &Budget::unlimited(),
-        Some(lake.view().tombs()),
-    );
+    let after = filtered(&model, &query, k, lake.view().tombs());
     assert!(
         after.hits.iter().all(|h| !victim_ids.contains(&h.id.0)),
         "tombstoned base ids leaked into HNSW results"
@@ -428,12 +428,7 @@ fn dropped_base_tables_vanish_immediately_and_never_reappear() {
     for id in &victim_ids {
         assert!(view.tombs().contains(*id), "tombstone for {id} lost");
     }
-    let final_hits = model.search_embedded_budgeted_filtered(
-        &query,
-        k,
-        &Budget::unlimited(),
-        Some(view.tombs()),
-    );
+    let final_hits = filtered(&model, &query, k, view.tombs());
     assert!(
         final_hits.hits.iter().all(|h| !victim_ids.contains(&h.id.0)),
         "dropped base ids reappeared after compaction + recovery"

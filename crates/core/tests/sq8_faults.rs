@@ -38,7 +38,7 @@ fn rankings(model: &DeepJoin, repo: &Repository, k: usize) -> Vec<Vec<(u32, u64)
         .map(|col| {
             let q = model.embed_column(col);
             model
-                .search_embedded_budgeted_filtered(&q, k, &Budget::unlimited(), None)
+                .search_embedded_budgeted(&q, k, &Budget::unlimited())
                 .hits
                 .into_iter()
                 .map(|h| (h.id.0, h.score.to_bits()))
