@@ -1,11 +1,11 @@
 //! HNSW adjacency storage: heap-built nested lists, or a zero-copy CSR
-//! view over a mapped v2 artifact section.
+//! view over a mapped artifact section.
 //!
 //! A freshly built graph is `Vec<Node>` — nested `Vec`s are what the
 //! insertion algorithms need to grow and shrink out-lists in place. A
 //! *loaded* graph doesn't need any of that: it is immutable, and rebuilding
 //! millions of little `Vec<Vec<u32>>`s is exactly the cold-start cost the
-//! v2 layout exists to kill. So the on-disk form is CSR — three flat `u32`
+//! aligned layout exists to kill. So the on-disk form is CSR — three flat `u32`
 //! arrays — and [`Graph`] lets traversal walk either representation through
 //! one accessor pair ([`Graph::level_count`] / [`Graph::neighbors`]), so
 //! search behaves identically on both.
@@ -62,7 +62,7 @@ impl Graph {
         }
     }
 
-    /// Graph from fully-formed per-node adjacency (the v1 decode path).
+    /// Graph from fully-formed per-node adjacency.
     pub fn from_adjacency(nodes: Vec<Vec<Vec<u32>>>) -> Self {
         Self {
             repr: Repr::Heap(nodes.into_iter().map(|neighbors| Node { neighbors }).collect()),
@@ -200,7 +200,7 @@ impl Graph {
         }
     }
 
-    /// Flatten to CSR arrays (for the v2 encoder), regardless of backing.
+    /// Flatten to CSR arrays (for the `DJG2` encoder), regardless of backing.
     pub fn to_csr(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         let n = self.len();
         let mut node_off = Vec::with_capacity(n + 1);

@@ -315,28 +315,6 @@ impl HnswIndex {
         }
     }
 
-    /// [`Self::from_graph_parts`] with nested per-node adjacency (the v1
-    /// decode path).
-    pub fn from_raw_parts(
-        config: HnswConfig,
-        dim: usize,
-        vectors: Vec<f32>,
-        nodes: Vec<Vec<Vec<u32>>>,
-        entry: Option<u32>,
-        max_level: usize,
-        rng_state: u64,
-    ) -> Self {
-        Self::from_graph_parts(
-            config,
-            dim,
-            vectors,
-            Graph::from_adjacency(nodes),
-            entry,
-            max_level,
-            rng_state,
-        )
-    }
-
     /// Quantize the stored vectors into an SQ8 plane and attach it:
     /// traversal switches to quantized scoring with an exact rescore of the
     /// final beam. Attach *after* building — a later [`VectorIndex::add`]

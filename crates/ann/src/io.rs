@@ -1,22 +1,30 @@
-//! Binary persistence for the flat and HNSW indexes.
+//! Binary payload codecs for the vector planes, the HNSW graph and the
+//! tombstone bitmap.
 //!
-//! Built on the `deepjoin-store` codec: little-endian, length-prefixed,
-//! with a magic header and version byte per payload. Indexes are large and
-//! numeric, so a dense custom codec is the *right* tool — no intermediate
-//! tree, one pass in, one pass out.
+//! Built on the `deepjoin-store` codec: little-endian, with a magic header
+//! and version byte per payload. Indexes are large and numeric, so a dense
+//! custom codec is the *right* tool — no intermediate tree, one pass in,
+//! one pass out.
 //!
-//! Three payload kinds live here:
+//! * `DJF2` — flat vectors: metric, dim, then the row-major f32 blob;
+//! * `DJQ2` — an SQ8 plane: scale, offset, row norms, then the codes;
+//! * `DJG2` — the HNSW *graph only* (config + CSR adjacency, no vectors),
+//!   so the vectors live in their own checksummed section and survive
+//!   graph corruption;
+//! * `DJT1` — a tombstone bitmap.
 //!
-//! * `DJF1` — a flat (exact) index: metric, dim, row-major vectors;
-//! * `DJH1` — a self-contained HNSW index (config + vectors + graph), the
-//!   v1 on-disk format, still read and written for standalone index files;
-//! * `DJG1` — the HNSW *graph only* (config + adjacency, no vectors), used
-//!   by the sectioned model container so the vectors can live in their own
-//!   checksummed section and survive graph corruption.
+//! The plane and graph payloads place each hot array as a raw
+//! little-endian blob at a 64-byte-aligned offset *within the payload*;
+//! inside a `DJAR` container (whose payloads start at 64-byte-aligned file
+//! offsets) every blob therefore lands 64-byte-aligned in a page-aligned
+//! mapping, and the decoders can hand out zero-copy [`PodVec`] views
+//! instead of copies. Each decoder takes an optional [`MappedPayload`];
+//! without one (or on a big-endian host, or when a view is refused) it
+//! decodes onto the heap — same numbers, same index behavior.
 //!
 //! Every decoder is total: corrupt bytes yield a located [`DecodeError`],
-//! never a panic — length prefixes are validated against the remaining
-//! buffer before allocation, and graph structure (neighbor ids, node/vector
+//! never a panic — lengths are validated against the remaining buffer
+//! before allocation, and graph structure (neighbor ids, node/vector
 //! counts, degenerate configs) is validated before an index is built, since
 //! an out-of-range neighbor id would otherwise panic at search time.
 
@@ -33,14 +41,12 @@ use crate::plane::{ByteOwner, PodVec};
 use crate::sq8::Sq8Plane;
 use crate::tombstones::TombSet;
 
-/// Magic bytes of a flat-index payload.
-pub const MAGIC_FLAT: &[u8; 4] = b"DJF1";
-/// Magic bytes of a self-contained HNSW payload.
-pub const MAGIC_HNSW: &[u8; 4] = b"DJH1";
-/// Magic bytes of a graph-only HNSW payload.
-pub const MAGIC_HNSW_GRAPH: &[u8; 4] = b"DJG1";
+/// Magic bytes of a flat-vector payload.
+pub const MAGIC_FLAT: &[u8; 4] = b"DJF2";
 /// Magic bytes of an SQ8 quantized-plane payload.
-pub const MAGIC_SQ8: &[u8; 4] = b"DJQ1";
+pub const MAGIC_SQ8: &[u8; 4] = b"DJQ2";
+/// Magic bytes of a CSR graph-only HNSW payload.
+pub const MAGIC_HNSW_GRAPH: &[u8; 4] = b"DJG2";
 /// Magic bytes of a tombstone-bitmap payload.
 pub const MAGIC_TOMBS: &[u8; 4] = b"DJT1";
 const VERSION: u8 = 1;
@@ -60,52 +66,6 @@ fn metric_from(r: &Reader<'_>, tag: u8) -> Result<Metric, DecodeError> {
         2 => Ok(Metric::Cosine),
         other => Err(r.error(DecodeErrorKind::BadDiscriminant(other))),
     }
-}
-
-/// Serialize a [`FlatIndex`].
-pub fn encode_flat(index: &FlatIndex) -> Vec<u8> {
-    let mut out = Writer::with_capacity(32 + index.len() * index.dim() * 4);
-    out.put_slice(MAGIC_FLAT);
-    out.put_u8(VERSION);
-    out.put_u8(metric_tag(index.metric()));
-    out.put_u64_le(index.dim() as u64);
-    out.put_u64_le(index.len() as u64);
-    for id in 0..index.len() as u32 {
-        for &x in index.vector(id) {
-            out.put_f32_le(x);
-        }
-    }
-    out.into_vec()
-}
-
-/// Deserialize a [`FlatIndex`], attributing errors to `section`.
-pub fn decode_flat_in(buf: &[u8], section: &'static str) -> Result<FlatIndex, DecodeError> {
-    let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_FLAT)?;
-    r.expect_version(VERSION)?;
-    let metric = {
-        let tag = r.u8()?;
-        metric_from(&r, tag)?
-    };
-    let dim = r.u64_le()? as usize;
-    if dim == 0 {
-        return Err(r.error(DecodeErrorKind::Invalid("flat index dim must be positive")));
-    }
-    let n = r.count(dim.saturating_mul(4))?;
-    let mut index = FlatIndex::new(dim, metric);
-    let mut row = vec![0f32; dim];
-    for _ in 0..n {
-        for x in &mut row {
-            *x = r.f32_le()?;
-        }
-        index.add(&row);
-    }
-    Ok(index)
-}
-
-/// Deserialize a [`FlatIndex`].
-pub fn decode_flat(buf: &[u8]) -> Result<FlatIndex, DecodeError> {
-    decode_flat_in(buf, "FLAT")
 }
 
 fn put_hnsw_config(out: &mut Writer, config: &HnswConfig) {
@@ -152,16 +112,6 @@ fn get_hnsw_config(r: &mut Reader<'_>) -> Result<HnswConfig, DecodeError> {
     })
 }
 
-/// The graph state shared by the `DJH1` and `DJG1` payloads.
-struct GraphParts {
-    config: HnswConfig,
-    dim: usize,
-    max_level: usize,
-    rng_state: u64,
-    entry: Option<u32>,
-    nodes: Vec<Vec<Vec<u32>>>,
-}
-
 fn put_entry(out: &mut Writer, entry: Option<u32>) {
     match entry {
         Some(e) => {
@@ -172,26 +122,7 @@ fn put_entry(out: &mut Writer, entry: Option<u32>) {
     }
 }
 
-/// v1 nested adjacency: node count, then per node the level count and each
-/// layer's length-prefixed out-list. Works off the [`Graph`] accessors, so
-/// a CSR-backed (even mapped) index re-encodes to identical bytes.
-fn put_adjacency(out: &mut Writer, graph: &Graph) {
-    out.put_u64_le(graph.len() as u64);
-    for id in 0..graph.len() as u32 {
-        let levels = graph.level_count(id);
-        out.put_u32_le(levels as u32);
-        for level in 0..levels {
-            let nbrs = graph.neighbors(id, level);
-            out.put_u32_le(nbrs.len() as u32);
-            for &n in nbrs {
-                out.put_u32_le(n);
-            }
-        }
-    }
-}
-
-/// Header shared by `DJH1` and `DJG1`: config, dim, max_level, rng state,
-/// entry point.
+/// `DJG2` header: config, dim, max_level, rng state, entry point.
 fn get_graph_header(
     r: &mut Reader<'_>,
 ) -> Result<(HnswConfig, usize, usize, u64, Option<u32>), DecodeError> {
@@ -207,191 +138,6 @@ fn get_graph_header(
     Ok((config, dim, max_level, rng_state, entry))
 }
 
-/// Per-node adjacency lists, validating every neighbor id against the node
-/// count so a decoded graph can never index out of range at search time.
-fn get_nodes(r: &mut Reader<'_>) -> Result<Vec<Vec<Vec<u32>>>, DecodeError> {
-    // Each node costs at least 4 bytes (its level count), which bounds how
-    // many a well-formed remainder can hold.
-    let num_nodes = r.count(4)?;
-    let mut nodes = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        let levels = r.count_u32(4)?;
-        let mut node = Vec::with_capacity(levels);
-        for _ in 0..levels {
-            let deg = r.count_u32(4)?;
-            let mut nbrs = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                let nb = r.u32_le()?;
-                if nb as usize >= num_nodes {
-                    return Err(r.error(DecodeErrorKind::Invalid(
-                        "neighbor id out of range for node count",
-                    )));
-                }
-                nbrs.push(nb);
-            }
-            node.push(nbrs);
-        }
-        nodes.push(node);
-    }
-    Ok(nodes)
-}
-
-/// Serialize an [`HnswIndex`] including vectors and graph (`DJH1`).
-pub fn encode_hnsw(index: &HnswIndex) -> Vec<u8> {
-    let graph = index.graph();
-    let mut out = Writer::with_capacity(96 + index.vectors().len() * 4 + graph.len() * 16);
-    out.put_slice(MAGIC_HNSW);
-    out.put_u8(VERSION);
-    put_hnsw_config(&mut out, index.config());
-    out.put_u64_le(index.dim() as u64);
-    out.put_u64_le(index.max_level() as u64);
-    out.put_u64_le(index.rng_state());
-    put_entry(&mut out, index.entry());
-    out.put_f32s(index.vectors());
-    put_adjacency(&mut out, graph);
-    out.into_vec()
-}
-
-/// Deserialize a `DJH1` [`HnswIndex`], attributing errors to `section`.
-pub fn decode_hnsw_in(buf: &[u8], section: &'static str) -> Result<HnswIndex, DecodeError> {
-    let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_HNSW)?;
-    r.expect_version(VERSION)?;
-    let (config, dim, max_level, rng_state, entry) = get_graph_header(&mut r)?;
-    let vectors = r.f32s()?;
-    let nodes = get_nodes(&mut r)?;
-    assemble_hnsw(
-        &r,
-        GraphParts {
-            config,
-            dim,
-            max_level,
-            rng_state,
-            entry,
-            nodes,
-        },
-        vectors,
-    )
-}
-
-/// Deserialize a `DJH1` [`HnswIndex`].
-pub fn decode_hnsw(buf: &[u8]) -> Result<HnswIndex, DecodeError> {
-    decode_hnsw_in(buf, "HNSW")
-}
-
-/// Serialize only the graph half of an [`HnswIndex`] (`DJG1`). Pair with a
-/// separately stored vector payload (see [`decode_hnsw_graph`]).
-pub fn encode_hnsw_graph(index: &HnswIndex) -> Vec<u8> {
-    let graph = index.graph();
-    let mut out = Writer::with_capacity(96 + graph.len() * 16);
-    out.put_slice(MAGIC_HNSW_GRAPH);
-    out.put_u8(VERSION);
-    put_hnsw_config(&mut out, index.config());
-    out.put_u64_le(index.dim() as u64);
-    out.put_u64_le(index.max_level() as u64);
-    out.put_u64_le(index.rng_state());
-    put_entry(&mut out, index.entry());
-    put_adjacency(&mut out, graph);
-    out.into_vec()
-}
-
-/// Rebuild an [`HnswIndex`] from a `DJG1` graph payload plus the vectors it
-/// indexes (row-major, `nodes * dim`). Fails — rather than building an
-/// index that would panic at search time — when the graph and vectors
-/// disagree on shape.
-pub fn decode_hnsw_graph(
-    buf: &[u8],
-    section: &'static str,
-    vectors: Vec<f32>,
-) -> Result<HnswIndex, DecodeError> {
-    let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_HNSW_GRAPH)?;
-    r.expect_version(VERSION)?;
-    let (config, dim, max_level, rng_state, entry) = get_graph_header(&mut r)?;
-    let nodes = get_nodes(&mut r)?;
-    assemble_hnsw(
-        &r,
-        GraphParts {
-            config,
-            dim,
-            max_level,
-            rng_state,
-            entry,
-            nodes,
-        },
-        vectors,
-    )
-}
-
-/// Serialize an [`Sq8Plane`] (`DJQ1`): dim, row count, per-dim scale and
-/// offset, dequantized row norms, then the raw row-major codes.
-pub fn encode_sq8(plane: &Sq8Plane) -> Vec<u8> {
-    let dim = plane.dim();
-    let n = plane.len();
-    let mut out = Writer::with_capacity(24 + dim * 8 + n * 4 + n * dim);
-    out.put_slice(MAGIC_SQ8);
-    out.put_u8(VERSION);
-    out.put_u64_le(dim as u64);
-    out.put_u64_le(n as u64);
-    for &s in plane.scale() {
-        out.put_f32_le(s);
-    }
-    for &o in plane.offset() {
-        out.put_f32_le(o);
-    }
-    for &rn in plane.row_norms() {
-        out.put_f32_le(rn);
-    }
-    out.put_slice(plane.codes());
-    out.into_vec()
-}
-
-/// Deserialize an [`Sq8Plane`], attributing errors to `section`. The
-/// payload size is validated against the header *before* any allocation, so
-/// a corrupt row count cannot trigger an OOM.
-pub fn decode_sq8_in(buf: &[u8], section: &'static str) -> Result<Sq8Plane, DecodeError> {
-    let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_SQ8)?;
-    r.expect_version(VERSION)?;
-    let dim = r.u64_le()? as usize;
-    if dim == 0 {
-        return Err(r.error(DecodeErrorKind::Invalid("SQ8 plane dim must be positive")));
-    }
-    let n = r.u64_le()? as usize;
-    if n > u32::MAX as usize {
-        return Err(r.error(DecodeErrorKind::Invalid("SQ8 row count exceeds id space")));
-    }
-    // scale + offset (dim f32s each) + row norms (n f32s) + codes (n·dim).
-    let need = dim
-        .checked_mul(8)
-        .and_then(|x| n.checked_mul(4).and_then(|y| x.checked_add(y)))
-        .and_then(|x| n.checked_mul(dim).and_then(|y| x.checked_add(y)));
-    if need != Some(r.remaining()) {
-        return Err(r.error(DecodeErrorKind::Invalid(
-            "SQ8 payload size disagrees with header",
-        )));
-    }
-    let mut scale = vec![0f32; dim];
-    for s in &mut scale {
-        *s = r.f32_le()?;
-    }
-    let mut offset = vec![0f32; dim];
-    for o in &mut offset {
-        *o = r.f32_le()?;
-    }
-    let mut row_norm = vec![0f32; n];
-    for rn in &mut row_norm {
-        *rn = r.f32_le()?;
-    }
-    let codes = r.bytes(n * dim)?.to_vec();
-    Ok(Sq8Plane::from_parts(dim, scale, offset, codes, row_norm))
-}
-
-/// Deserialize an [`Sq8Plane`].
-pub fn decode_sq8(buf: &[u8]) -> Result<Sq8Plane, DecodeError> {
-    decode_sq8_in(buf, "SQ8")
-}
-
 /// Serialize a [`TombSet`] (`DJT1`): word count, then the raw bitset words.
 pub fn encode_tombs(tombs: &TombSet) -> Vec<u8> {
     let mut out = Writer::with_capacity(16 + tombs.words().len() * 8);
@@ -404,9 +150,9 @@ pub fn encode_tombs(tombs: &TombSet) -> Vec<u8> {
     out.into_vec()
 }
 
-/// Deserialize a [`TombSet`], attributing errors to `section`.
-pub fn decode_tombs_in(buf: &[u8], section: &'static str) -> Result<TombSet, DecodeError> {
-    let mut r = Reader::new(buf, section);
+/// Deserialize a [`TombSet`].
+pub fn decode_tombs(buf: &[u8]) -> Result<TombSet, DecodeError> {
+    let mut r = Reader::new(buf, "TOMB");
     r.expect_magic(MAGIC_TOMBS)?;
     r.expect_version(VERSION)?;
     let n = r.count(8)?;
@@ -422,37 +168,10 @@ pub fn decode_tombs_in(buf: &[u8], section: &'static str) -> Result<TombSet, Dec
     Ok(TombSet::from_words(words))
 }
 
-/// Deserialize a [`TombSet`].
-pub fn decode_tombs(buf: &[u8]) -> Result<TombSet, DecodeError> {
-    decode_tombs_in(buf, "TOMB")
-}
-
-// ---------------------------------------------------------------------------
-// v2 aligned payloads (`DJF2` / `DJQ2` / `DJG2`)
-//
-// The v1 payloads are element streams: decoding means re-reading every
-// number through the codec and re-allocating every structure. The v2
-// payloads instead place each hot array as a raw little-endian blob at a
-// 64-byte-aligned offset *within the payload*; inside a v2 aligned
-// container (whose section payloads start at 64-byte-aligned file offsets)
-// every blob therefore lands 64-byte-aligned in a page-aligned mapping, and
-// the decoders below can hand out zero-copy [`PodVec`] views instead of
-// copies. Each decoder takes an optional [`MappedPayload`]; without one (or
-// on a big-endian host, or when a view is refused) it decodes onto the heap
-// — same numbers, same index behavior, no zero-copy.
-// ---------------------------------------------------------------------------
-
-/// Magic bytes of a v2 aligned flat-vector payload.
-pub const MAGIC_FLAT_V2: &[u8; 4] = b"DJF2";
-/// Magic bytes of a v2 aligned SQ8 payload.
-pub const MAGIC_SQ8_V2: &[u8; 4] = b"DJQ2";
-/// Magic bytes of a v2 CSR graph-only payload.
-pub const MAGIC_HNSW_GRAPH_V2: &[u8; 4] = b"DJG2";
-
 /// Where a payload lives inside a pinned byte buffer: the buffer (e.g. an
 /// `Arc<Mmap>` of a whole artifact) plus the byte offset of the payload's
-/// first byte within it. Lets the v2 decoders build [`PodVec`] views that
-/// keep the mapping alive instead of copying.
+/// first byte within it. Lets the decoders build [`PodVec`] views that keep
+/// the mapping alive instead of copying.
 #[derive(Clone)]
 pub struct MappedPayload {
     /// The pinned buffer the payload is a sub-range of.
@@ -548,12 +267,12 @@ fn take_pod_vec<T: crate::plane::Pod>(
     }
 }
 
-/// Serialize a [`FlatIndex`] as a v2 aligned payload (`DJF2`): header, zero
-/// pad to the 64-byte boundary, then the raw row-major f32 blob.
-pub fn encode_flat_v2(index: &FlatIndex) -> Vec<u8> {
+/// Serialize a [`FlatIndex`] (`DJF2`): header, zero pad to the 64-byte
+/// boundary, then the raw row-major f32 blob.
+pub fn encode_flat(index: &FlatIndex) -> Vec<u8> {
     let data = index.data();
     let mut out = Writer::with_capacity(SECTION_ALIGN + data.len() * 4);
-    out.put_slice(MAGIC_FLAT_V2);
+    out.put_slice(MAGIC_FLAT);
     out.put_u8(VERSION);
     out.put_u8(metric_tag(index.metric()));
     out.put_u64_le(index.dim() as u64);
@@ -565,15 +284,15 @@ pub fn encode_flat_v2(index: &FlatIndex) -> Vec<u8> {
     out.into_vec()
 }
 
-/// Deserialize a `DJF2` [`FlatIndex`], zero-copy when `src` is given and
-/// the blob is viewable in place.
-pub fn decode_flat_v2_in(
+/// Deserialize a `DJF2` [`FlatIndex`], attributing errors to `section`;
+/// zero-copy when `src` is given and the blob is viewable in place.
+pub fn decode_flat(
     buf: &[u8],
     section: &'static str,
     src: Option<&MappedPayload>,
 ) -> Result<FlatIndex, DecodeError> {
     let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_FLAT_V2)?;
+    r.expect_magic(MAGIC_FLAT)?;
     r.expect_version(VERSION)?;
     let metric = {
         let tag = r.u8()?;
@@ -600,13 +319,13 @@ pub fn decode_flat_v2_in(
     Ok(FlatIndex::from_plane(dim, metric, data))
 }
 
-/// Serialize an [`Sq8Plane`] as a v2 aligned payload (`DJQ2`): header, then
-/// each array (scale, offset, row norms, codes) at its own aligned offset.
-pub fn encode_sq8_v2(plane: &Sq8Plane) -> Vec<u8> {
+/// Serialize an [`Sq8Plane`] (`DJQ2`): header, then each array (scale,
+/// offset, row norms, codes) at its own aligned offset.
+pub fn encode_sq8(plane: &Sq8Plane) -> Vec<u8> {
     let dim = plane.dim();
     let n = plane.len();
     let mut out = Writer::with_capacity(4 * SECTION_ALIGN + dim * 8 + n * 4 + n * dim);
-    out.put_slice(MAGIC_SQ8_V2);
+    out.put_slice(MAGIC_SQ8);
     out.put_u8(VERSION);
     out.put_u64_le(dim as u64);
     out.put_u64_le(n as u64);
@@ -627,14 +346,16 @@ pub fn encode_sq8_v2(plane: &Sq8Plane) -> Vec<u8> {
     out.into_vec()
 }
 
-/// Deserialize a `DJQ2` [`Sq8Plane`], zero-copy when `src` is given.
-pub fn decode_sq8_v2_in(
+/// Deserialize a `DJQ2` [`Sq8Plane`], zero-copy when `src` is given. The
+/// payload size is validated against the header *before* any allocation,
+/// so a corrupt row count cannot trigger an OOM.
+pub fn decode_sq8(
     buf: &[u8],
     section: &'static str,
     src: Option<&MappedPayload>,
 ) -> Result<Sq8Plane, DecodeError> {
     let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_SQ8_V2)?;
+    r.expect_magic(MAGIC_SQ8)?;
     r.expect_version(VERSION)?;
     let dim = r.u64_le()? as usize;
     if dim == 0 {
@@ -663,16 +384,16 @@ pub fn decode_sq8_v2_in(
     Ok(Sq8Plane::from_parts(dim, scale, offset, codes, row_norm))
 }
 
-/// Serialize only the graph half of an [`HnswIndex`] as a v2 CSR payload
+/// Serialize only the graph half of an [`HnswIndex`] as a CSR payload
 /// (`DJG2`): header, then the three flat `u32` arrays (`node_off`,
 /// `adj_off`, `neighbors`) at aligned offsets. Pairs with a `DJF2` vector
-/// payload the way `DJG1` pairs with raw vectors.
-pub fn encode_hnsw_graph_v2(index: &HnswIndex) -> Vec<u8> {
+/// payload (see [`decode_hnsw_graph`]).
+pub fn encode_hnsw_graph(index: &HnswIndex) -> Vec<u8> {
     let (node_off, adj_off, neighbors) = index.graph().to_csr();
     let mut out = Writer::with_capacity(
         3 * SECTION_ALIGN + 96 + (node_off.len() + adj_off.len() + neighbors.len()) * 4,
     );
-    out.put_slice(MAGIC_HNSW_GRAPH_V2);
+    out.put_slice(MAGIC_HNSW_GRAPH);
     out.put_u8(VERSION);
     put_hnsw_config(&mut out, index.config());
     out.put_u64_le(index.dim() as u64);
@@ -694,16 +415,17 @@ pub fn encode_hnsw_graph_v2(index: &HnswIndex) -> Vec<u8> {
 /// Rebuild an [`HnswIndex`] from a `DJG2` CSR graph payload plus the vector
 /// plane it indexes (from a `DJF2` payload — heap or mapped). All structural
 /// invariants (offset-table consistency, neighbor ranges, entry point,
-/// `max_level`) are validated before the index is built; `src` makes the
-/// three CSR arrays zero-copy views.
-pub fn decode_hnsw_graph_v2(
+/// `max_level`) are validated before the index is built — a corrupt
+/// (huge) `max_level` would otherwise make every search walk empty layers
+/// for eons; `src` makes the three CSR arrays zero-copy views.
+pub fn decode_hnsw_graph(
     buf: &[u8],
     section: &'static str,
     vectors: PodVec<f32>,
     src: Option<&MappedPayload>,
 ) -> Result<HnswIndex, DecodeError> {
     let mut r = Reader::new(buf, section);
-    r.expect_magic(MAGIC_HNSW_GRAPH_V2)?;
+    r.expect_magic(MAGIC_HNSW_GRAPH)?;
     r.expect_version(VERSION)?;
     let (config, dim, max_level, rng_state, entry) = get_graph_header(&mut r)?;
     let n = r.u64_le()? as usize;
@@ -766,44 +488,6 @@ pub fn decode_hnsw_graph_v2(
     ))
 }
 
-fn assemble_hnsw(
-    r: &Reader<'_>,
-    parts: GraphParts,
-    vectors: Vec<f32>,
-) -> Result<HnswIndex, DecodeError> {
-    if let Some(e) = parts.entry {
-        if e as usize >= parts.nodes.len() {
-            return Err(r.error(DecodeErrorKind::Invalid("entry point out of range")));
-        }
-    }
-    if parts.dim == 0 && !parts.nodes.is_empty() {
-        return Err(r.error(DecodeErrorKind::Invalid("non-empty index with dim 0")));
-    }
-    // `max_level` must be the tallest node's level: search iterates every
-    // layer from `max_level` down, so a corrupt (huge) value would loop for
-    // eons without this check even though it cannot panic.
-    let tallest = parts.nodes.iter().map(Vec::len).max().unwrap_or(0);
-    if parts.max_level != tallest.saturating_sub(1) {
-        return Err(r.error(DecodeErrorKind::Invalid(
-            "max_level disagrees with the tallest node",
-        )));
-    }
-    if vectors.len() != parts.nodes.len().saturating_mul(parts.dim) {
-        return Err(r.error(DecodeErrorKind::Invalid(
-            "vector payload does not match graph shape",
-        )));
-    }
-    Ok(HnswIndex::from_raw_parts(
-        parts.config,
-        parts.dim,
-        vectors,
-        parts.nodes,
-        parts.entry,
-        parts.max_level,
-        parts.rng_state,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,50 +496,27 @@ mod tests {
     use deepjoin_store::codec::DecodeErrorKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn random_data(n: usize, dim: usize) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(1);
         (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
-    #[test]
-    fn flat_roundtrip_preserves_search() {
-        let mut idx = FlatIndex::new(8, Metric::L2);
-        idx.add_batch(&random_data(200, 8));
-        let bytes = encode_flat(&idx);
-        let back = decode_flat(&bytes).unwrap();
-        assert_eq!(back.len(), idx.len());
-        let q = random_data(1, 8);
-        assert_eq!(idx.search(&q, 10), back.search(&q, 10));
+    fn flat_of(data: &[f32], dim: usize, metric: Metric) -> FlatIndex {
+        let mut idx = FlatIndex::new(dim, metric);
+        idx.add_batch(data);
+        idx
     }
 
-    #[test]
-    fn hnsw_roundtrip_preserves_search_and_growth() {
-        let mut idx = HnswIndex::new(6, HnswConfig::default());
-        idx.add_batch(&random_data(500, 6));
-        let bytes = encode_hnsw(&idx);
-        let mut back = decode_hnsw(&bytes).unwrap();
-        let q = random_data(1, 6);
-        assert_eq!(idx.search(&q, 10), back.search(&q, 10));
-        // The decoded index keeps working for inserts (rng state restored).
-        let mut orig = idx.clone();
-        let v = random_data(1, 6);
-        assert_eq!(orig.add(&v), back.add(&v));
-        assert_eq!(orig.search(&q, 10), back.search(&q, 10));
-    }
-
-    #[test]
-    fn graph_only_roundtrip_matches_full_roundtrip() {
-        let mut idx = HnswIndex::new(5, HnswConfig::default());
-        idx.add_batch(&random_data(300, 5));
-        let vectors = idx.vectors().to_vec();
-        let graph = encode_hnsw_graph(&idx);
-        let mut back = decode_hnsw_graph(&graph, "HNSW", vectors).unwrap();
-        let q = random_data(1, 5);
-        assert_eq!(idx.search(&q, 10), back.search(&q, 10));
-        let mut orig = idx.clone();
-        let v = random_data(1, 5);
-        assert_eq!(orig.add(&v), back.add(&v));
+    /// Wrap encoded payload bytes as a mapped source. Heap `Vec<u8>`
+    /// allocations are at least word-aligned in practice, so the 64-byte
+    /// payload-relative offsets land on valid u32/f32 addresses, same as a
+    /// page-aligned mmap.
+    fn mapped(bytes: &[u8]) -> (Vec<u8>, MappedPayload) {
+        let copy = bytes.to_vec();
+        let owner: ByteOwner = Arc::new(copy.clone());
+        (copy, MappedPayload { owner, base: 0 })
     }
 
     #[test]
@@ -863,114 +524,55 @@ mod tests {
         let mut idx = HnswIndex::new(4, HnswConfig::default());
         idx.add_batch(&random_data(50, 4));
         let graph = encode_hnsw_graph(&idx);
-        let err = decode_hnsw_graph(&graph, "HNSW", vec![0.0; 7]).unwrap_err();
+        // Too few vectors for the graph's 50 nodes × 4 dims.
+        let short: PodVec<f32> = idx.vectors()[..7].to_vec().into();
+        let err = decode_hnsw_graph(&graph, "HNSW", short, None).unwrap_err();
         assert!(matches!(err.kind, DecodeErrorKind::Invalid(_)));
     }
 
     #[test]
     fn corrupted_buffers_are_rejected() {
-        let mut idx = FlatIndex::new(4, Metric::Cosine);
-        idx.add_batch(&random_data(10, 4));
-        let bytes = encode_flat(&idx);
+        let data = random_data(10, 4);
+        let flat = encode_flat(&flat_of(&data, 4, Metric::Cosine));
+        let sq8 = encode_sq8(&Sq8Plane::quantize(&data, 4));
+        let mut hnsw = HnswIndex::new(4, HnswConfig::default());
+        hnsw.add_batch(&data);
+        let graph = encode_hnsw_graph(&hnsw);
+        let vectors: PodVec<f32> = data.clone().into();
+        type Decode<'a> = &'a dyn Fn(&[u8]) -> Result<(), DecodeError>;
+        let cases: [(&Vec<u8>, &str, Decode); 3] = [
+            (&flat, "VECS", &|b| decode_flat(b, "VECS", None).map(drop)),
+            (&sq8, "SQ8V", &|b| decode_sq8(b, "SQ8V", None).map(drop)),
+            (&graph, "HNSW", &|b| {
+                decode_hnsw_graph(b, "HNSW", vectors.clone(), None).map(drop)
+            }),
+        ];
+        for (bytes, section, decode) in cases {
+            let mut bad = bytes.clone();
+            bad[0] = b'X';
+            assert_eq!(decode(&bad).unwrap_err().kind, DecodeErrorKind::BadMagic);
 
-        // Wrong magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(decode_flat(&bad).unwrap_err().kind, DecodeErrorKind::BadMagic);
+            let mut bad = bytes.clone();
+            bad[4] = 99;
+            assert_eq!(decode(&bad).unwrap_err().kind, DecodeErrorKind::BadVersion(99));
 
-        // Wrong version.
-        let mut bad = bytes.clone();
-        bad[4] = 99;
+            // Truncation, located in the caller's section.
+            let err = decode(&bytes[..bytes.len() - 3]).unwrap_err();
+            assert_eq!(err.section, section);
+            assert!(matches!(
+                err.kind,
+                DecodeErrorKind::Truncated { .. } | DecodeErrorKind::Invalid(_)
+            ));
+        }
+        // A payload of another kind is refused by its magic, not misread.
         assert_eq!(
-            decode_flat(&bad).unwrap_err().kind,
-            DecodeErrorKind::BadVersion(99)
-        );
-
-        // Truncation, with offset context.
-        let err = decode_flat(&bytes[..bytes.len() - 3]).unwrap_err();
-        assert!(matches!(err.kind, DecodeErrorKind::Truncated { .. }));
-        assert_eq!(err.section, "FLAT");
-    }
-
-    #[test]
-    fn hnsw_magic_mismatch_is_rejected() {
-        let mut idx = FlatIndex::new(4, Metric::L2);
-        idx.add(&[0.0; 4]);
-        let bytes = encode_flat(&idx);
-        assert_eq!(
-            decode_hnsw(&bytes).unwrap_err().kind,
+            decode_hnsw_graph(&flat, "HNSW", vectors, None).unwrap_err().kind,
             DecodeErrorKind::BadMagic
         );
-    }
-
-    #[test]
-    fn empty_hnsw_roundtrips() {
-        let idx = HnswIndex::new(3, HnswConfig::default());
-        let back = decode_hnsw(&encode_hnsw(&idx)).unwrap();
-        assert_eq!(back.len(), 0);
-        assert!(back.search(&[0.0; 3], 5).is_empty());
-    }
-
-    #[test]
-    fn truncation_at_every_offset_never_panics() {
-        let mut idx = HnswIndex::new(3, HnswConfig::default());
-        idx.add_batch(&random_data(40, 3));
-        let bytes = encode_hnsw(&idx);
-        for cut in 0..bytes.len() {
-            assert!(decode_hnsw(&bytes[..cut]).is_err());
-        }
-        let flat_bytes = encode_flat(&{
-            let mut f = FlatIndex::new(3, Metric::L2);
-            f.add_batch(&random_data(40, 3));
-            f
-        });
-        for cut in 0..flat_bytes.len() {
-            assert!(decode_flat(&flat_bytes[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn sq8_roundtrip_is_lossless() {
-        let data = random_data(120, 9);
-        let plane = Sq8Plane::quantize(&data, 9);
-        let bytes = encode_sq8(&plane);
-        let back = decode_sq8(&bytes).unwrap();
-        assert_eq!(back, plane);
-    }
-
-    #[test]
-    fn sq8_empty_plane_roundtrips() {
-        let plane = Sq8Plane::quantize(&[], 4);
-        let back = decode_sq8(&encode_sq8(&plane)).unwrap();
-        assert_eq!(back.len(), 0);
-        assert_eq!(back.dim(), 4);
-    }
-
-    #[test]
-    fn sq8_truncation_at_every_offset_never_panics() {
-        let data = random_data(40, 5);
-        let bytes = encode_sq8(&Sq8Plane::quantize(&data, 5));
-        for cut in 0..bytes.len() {
-            assert!(decode_sq8(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn sq8_single_byte_corruption_never_panics() {
-        let data = random_data(20, 3);
-        let plane = Sq8Plane::quantize(&data, 3);
-        let bytes = encode_sq8(&plane);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x55;
-            // Either a clean decode error, or a structurally valid plane
-            // (flipped code/scale bytes decode fine — the container CRC is
-            // what detects those).
-            if let Ok(back) = decode_sq8(&bad) {
-                assert_eq!(back.len(), plane.len());
-                assert_eq!(back.dim(), plane.dim());
-            }
-        }
+        assert_eq!(
+            decode_sq8(&flat, "SQ8V", None).unwrap_err().kind,
+            DecodeErrorKind::BadMagic
+        );
     }
 
     #[test]
@@ -989,45 +591,13 @@ mod tests {
     }
 
     #[test]
-    fn single_byte_corruption_never_panics_search() {
-        // Flip each byte of a small snapshot; decode must error or produce
-        // an index whose search doesn't panic (validated graph).
-        let mut idx = HnswIndex::new(3, HnswConfig::default());
-        idx.add_batch(&random_data(25, 3));
-        let bytes = encode_hnsw(&idx);
-        let q = random_data(1, 3);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x55;
-            if let Ok(back) = decode_hnsw(&bad) {
-                let _ = back.search(&q, 5);
-            }
-        }
-    }
-
-    // ---------------- v2 aligned payloads ----------------
-
-    use std::sync::Arc;
-
-    /// Wrap encoded payload bytes as a mapped source. Heap `Vec<u8>`
-    /// allocations are at least word-aligned in practice, so the 64-byte
-    /// payload-relative offsets land on valid u32/f32 addresses, same as a
-    /// page-aligned mmap.
-    fn mapped(bytes: &[u8]) -> (Vec<u8>, MappedPayload) {
-        let copy = bytes.to_vec();
-        let owner: ByteOwner = Arc::new(copy.clone());
-        (copy, MappedPayload { owner, base: 0 })
-    }
-
-    #[test]
-    fn flat_v2_heap_and_mapped_decodes_are_identical() {
+    fn flat_heap_and_mapped_decodes_are_identical() {
         for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
-            let mut idx = FlatIndex::new(8, metric);
-            idx.add_batch(&random_data(200, 8));
-            let bytes = encode_flat_v2(&idx);
-            let heap = decode_flat_v2_in(&bytes, "VECS", None).unwrap();
+            let idx = flat_of(&random_data(200, 8), 8, metric);
+            let bytes = encode_flat(&idx);
+            let heap = decode_flat(&bytes, "VECS", None).unwrap();
             let (_keep, src) = mapped(&bytes);
-            let view = decode_flat_v2_in(&bytes, "VECS", Some(&src)).unwrap();
+            let view = decode_flat(&bytes, "VECS", Some(&src)).unwrap();
             assert!(!heap.is_mapped());
             assert!(view.is_mapped());
             assert_eq!(heap.data(), idx.data());
@@ -1039,13 +609,13 @@ mod tests {
     }
 
     #[test]
-    fn sq8_v2_heap_and_mapped_decodes_are_identical() {
+    fn sq8_heap_and_mapped_decodes_are_identical() {
         let data = random_data(120, 9);
         let plane = Sq8Plane::quantize(&data, 9);
-        let bytes = encode_sq8_v2(&plane);
-        let heap = decode_sq8_v2_in(&bytes, "SQ8V", None).unwrap();
+        let bytes = encode_sq8(&plane);
+        let heap = decode_sq8(&bytes, "SQ8V", None).unwrap();
         let (_keep, src) = mapped(&bytes);
-        let view = decode_sq8_v2_in(&bytes, "SQ8V", Some(&src)).unwrap();
+        let view = decode_sq8(&bytes, "SQ8V", Some(&src)).unwrap();
         assert!(!heap.is_mapped());
         assert!(view.is_mapped());
         assert_eq!(heap, plane);
@@ -1053,32 +623,25 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_graph_v2_heap_and_mapped_decodes_are_identical() {
+    fn hnsw_graph_heap_and_mapped_decodes_are_identical() {
         let mut idx = HnswIndex::new(5, HnswConfig::default());
         idx.add_batch(&random_data(300, 5));
-        let graph_bytes = encode_hnsw_graph_v2(&idx);
-        let vec_bytes = encode_flat_v2(&{
-            let mut f = FlatIndex::new(5, Metric::L2);
-            f.add_batch(idx.vectors());
-            f
-        });
+        let graph_bytes = encode_hnsw_graph(&idx);
+        let vec_bytes = encode_flat(&flat_of(idx.vectors(), 5, Metric::L2));
 
-        let heap_vecs = decode_flat_v2_in(&vec_bytes, "VECS", None).unwrap();
+        let heap_vecs = decode_flat(&vec_bytes, "VECS", None).unwrap();
         let mut heap =
-            decode_hnsw_graph_v2(&graph_bytes, "HNSW", heap_vecs.data().to_vec().into(), None)
+            decode_hnsw_graph(&graph_bytes, "HNSW", heap_vecs.data().to_vec().into(), None)
                 .unwrap();
         assert!(!heap.is_mapped());
 
         let (_kv, vsrc) = mapped(&vec_bytes);
         let (_kg, gsrc) = mapped(&graph_bytes);
-        let view_vecs = decode_flat_v2_in(&vec_bytes, "VECS", Some(&vsrc)).unwrap();
-        let mut view = decode_hnsw_graph_v2(
+        let view_vecs = decode_flat(&vec_bytes, "VECS", Some(&vsrc)).unwrap();
+        let mut view = decode_hnsw_graph(
             &graph_bytes,
             "HNSW",
-            decode_flat_v2_in(&vec_bytes, "VECS", Some(&vsrc))
-                .map(|f| f.data().to_vec())
-                .unwrap()
-                .into(),
+            view_vecs.data().to_vec().into(),
             Some(&gsrc),
         )
         .unwrap();
@@ -1089,26 +652,26 @@ mod tests {
         assert_eq!(idx.search(&q, 10), heap.search(&q, 10));
         assert_eq!(idx.search(&q, 10), view.search(&q, 10));
 
-        // A mapped index still grows: mutation materializes, rng continues.
+        // A decoded index still grows: mutation materializes, rng continues.
         let mut orig = idx.clone();
         let v = random_data(1, 5);
         let id = orig.add(&v);
         assert_eq!(id, heap.add(&v));
         assert_eq!(id, view.add(&v));
+        assert_eq!(orig.search(&q, 10), heap.search(&q, 10));
         assert_eq!(orig.search(&q, 10), view.search(&q, 10));
     }
 
     #[test]
-    fn v2_blobs_are_section_aligned() {
-        let mut idx = FlatIndex::new(7, Metric::L2);
-        idx.add_batch(&random_data(33, 7));
-        let bytes = encode_flat_v2(&idx);
+    fn blobs_are_section_aligned() {
+        let idx = flat_of(&random_data(33, 7), 7, Metric::L2);
+        let bytes = encode_flat(&idx);
         // Header is 26 bytes; first vector byte must sit at the boundary.
         let first = idx.data()[0].to_le_bytes();
         assert_eq!(&bytes[SECTION_ALIGN..SECTION_ALIGN + 4], &first);
 
         let plane = Sq8Plane::quantize(&random_data(10, 6), 6);
-        let q = encode_sq8_v2(&plane);
+        let q = encode_sq8(&plane);
         assert_eq!(
             &q[SECTION_ALIGN..SECTION_ALIGN + 4],
             &plane.scale()[0].to_le_bytes()
@@ -1116,101 +679,112 @@ mod tests {
     }
 
     #[test]
-    fn v2_empty_structures_roundtrip() {
+    fn empty_structures_roundtrip() {
         let idx = FlatIndex::new(4, Metric::L2);
-        let back = decode_flat_v2_in(&encode_flat_v2(&idx), "VECS", None).unwrap();
+        let back = decode_flat(&encode_flat(&idx), "VECS", None).unwrap();
         assert_eq!(back.len(), 0);
 
         let plane = Sq8Plane::quantize(&[], 4);
-        let back = decode_sq8_v2_in(&encode_sq8_v2(&plane), "SQ8V", None).unwrap();
+        let back = decode_sq8(&encode_sq8(&plane), "SQ8V", None).unwrap();
         assert_eq!(back.len(), 0);
         assert_eq!(back.dim(), 4);
 
         let hnsw = HnswIndex::new(3, HnswConfig::default());
-        let back = decode_hnsw_graph_v2(
-            &encode_hnsw_graph_v2(&hnsw),
-            "HNSW",
-            PodVec::new(),
-            None,
-        )
-        .unwrap();
+        let back =
+            decode_hnsw_graph(&encode_hnsw_graph(&hnsw), "HNSW", PodVec::new(), None).unwrap();
         assert_eq!(back.len(), 0);
         assert!(back.search(&[0.0; 3], 5).is_empty());
     }
 
     #[test]
-    fn v2_truncation_at_every_offset_never_panics() {
-        let mut flat = FlatIndex::new(3, Metric::L2);
-        flat.add_batch(&random_data(40, 3));
-        let fb = encode_flat_v2(&flat);
+    fn truncation_at_every_offset_never_panics() {
+        let fb = encode_flat(&flat_of(&random_data(40, 3), 3, Metric::L2));
         for cut in 0..fb.len() {
-            assert!(decode_flat_v2_in(&fb[..cut], "VECS", None).is_err(), "cut {cut}");
+            assert!(decode_flat(&fb[..cut], "VECS", None).is_err(), "cut {cut}");
         }
 
         let plane = Sq8Plane::quantize(&random_data(40, 5), 5);
-        let qb = encode_sq8_v2(&plane);
+        let qb = encode_sq8(&plane);
         for cut in 0..qb.len() {
-            assert!(decode_sq8_v2_in(&qb[..cut], "SQ8V", None).is_err(), "cut {cut}");
+            assert!(decode_sq8(&qb[..cut], "SQ8V", None).is_err(), "cut {cut}");
         }
 
         let mut hnsw = HnswIndex::new(3, HnswConfig::default());
         hnsw.add_batch(&random_data(40, 3));
         let vectors: PodVec<f32> = hnsw.vectors().to_vec().into();
-        let gb = encode_hnsw_graph_v2(&hnsw);
+        let gb = encode_hnsw_graph(&hnsw);
         for cut in 0..gb.len() {
             assert!(
-                decode_hnsw_graph_v2(&gb[..cut], "HNSW", vectors.clone(), None).is_err(),
+                decode_hnsw_graph(&gb[..cut], "HNSW", vectors.clone(), None).is_err(),
                 "cut {cut}"
             );
         }
     }
 
+    /// Flip every byte of every payload kind: each decode path, heap and
+    /// mapped, errors out cleanly or yields a structurally valid index
+    /// whose search is total. (Flipped blob bytes decode fine — catching
+    /// those is the container CRC's job.)
     #[test]
-    fn v2_single_byte_corruption_never_panics() {
-        let mut hnsw = HnswIndex::new(3, HnswConfig::default());
-        hnsw.add_batch(&random_data(25, 3));
+    fn single_byte_corruption_never_panics_search() {
+        let (n, dim) = (25, 3);
+        let data = random_data(n, dim);
+        let q = random_data(1, dim);
+        let mut hnsw = HnswIndex::new(dim, HnswConfig::default());
+        hnsw.add_batch(&data);
         let vectors: PodVec<f32> = hnsw.vectors().to_vec().into();
-        let gb = encode_hnsw_graph_v2(&hnsw);
-        let q = random_data(1, 3);
-        for i in 0..gb.len() {
-            let mut bad = gb.clone();
-            bad[i] ^= 0x55;
-            // Same contract as v1, on both decode paths: error out cleanly
-            // or produce a structurally valid index whose search is total.
-            if let Ok(back) = decode_hnsw_graph_v2(&bad, "HNSW", vectors.clone(), None) {
+        let flip = |bytes: &[u8], check: &dyn Fn(&[u8], Option<&MappedPayload>)| {
+            for i in 0..bytes.len() {
+                let mut bad = bytes.to_vec();
+                bad[i] ^= 0x55;
+                let (_keep, src) = mapped(&bad);
+                check(&bad, None);
+                check(&bad, Some(&src));
+            }
+        };
+        flip(&encode_hnsw_graph(&hnsw), &|bad, src| {
+            if let Ok(back) = decode_hnsw_graph(bad, "HNSW", vectors.clone(), src) {
                 let _ = back.search(&q, 5);
             }
-            let (_keep, src) = mapped(&bad);
-            if let Ok(back) = decode_hnsw_graph_v2(&bad, "HNSW", vectors.clone(), Some(&src)) {
+        });
+        flip(&encode_flat(&flat_of(&data, dim, Metric::L2)), &|bad, src| {
+            if let Ok(back) = decode_flat(bad, "VECS", src) {
+                assert_eq!((back.len(), back.dim()), (n, dim));
                 let _ = back.search(&q, 5);
             }
-        }
+        });
+        flip(&encode_sq8(&Sq8Plane::quantize(&data, dim)), &|bad, src| {
+            if let Ok(plane) = decode_sq8(bad, "SQ8V", src) {
+                assert_eq!((plane.len(), plane.dim()), (n, dim));
+                let mut flat = flat_of(&data, dim, Metric::L2);
+                flat.attach_sq8(plane);
+                let _ = flat.search(&q, 5);
+            }
+        });
     }
 
     #[test]
-    fn v2_nonzero_padding_is_rejected() {
-        let mut idx = FlatIndex::new(4, Metric::L2);
-        idx.add_batch(&random_data(3, 4));
-        let mut bytes = encode_flat_v2(&idx);
+    fn nonzero_padding_is_rejected() {
+        let mut bytes = encode_flat(&flat_of(&random_data(3, 4), 4, Metric::L2));
         // Byte 30 sits inside the header→blob pad (header is 26 bytes).
         bytes[30] = 1;
-        let err = decode_flat_v2_in(&bytes, "VECS", None).unwrap_err();
+        let err = decode_flat(&bytes, "VECS", None).unwrap_err();
         assert!(matches!(err.kind, DecodeErrorKind::Invalid(_)));
     }
 
     #[test]
-    fn v2_mapped_graph_rejects_structural_damage() {
+    fn mapped_graph_rejects_structural_damage() {
         // Corrupt a neighbor id to point past the node count; from_csr must
         // catch it on the mapped path too (no trusting the mapping).
         let mut hnsw = HnswIndex::new(3, HnswConfig::default());
         hnsw.add_batch(&random_data(30, 3));
         let vectors: PodVec<f32> = hnsw.vectors().to_vec().into();
-        let mut gb = encode_hnsw_graph_v2(&hnsw);
+        let mut gb = encode_hnsw_graph(&hnsw);
         let n = gb.len();
         // The neighbors array is the final blob; overwrite its last id.
         gb[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         let (_keep, src) = mapped(&gb);
-        let err = decode_hnsw_graph_v2(&gb, "HNSW", vectors, Some(&src)).unwrap_err();
+        let err = decode_hnsw_graph(&gb, "HNSW", vectors, Some(&src)).unwrap_err();
         assert!(matches!(err.kind, DecodeErrorKind::Invalid(_)));
     }
 
@@ -1235,10 +809,10 @@ mod tests {
             let v: Vec<f32> = (0..dim).map(|_| next()).collect();
             orig.add(&v);
         }
-        let bytes = encode_flat_v2(&orig);
-        let heap = decode_flat_v2_in(&bytes, "VECS", None).unwrap();
+        let bytes = encode_flat(&orig);
+        let heap = decode_flat(&bytes, "VECS", None).unwrap();
         let (pinned, src) = mapped(&bytes);
-        let view = decode_flat_v2_in(&pinned, "VECS", Some(&src)).unwrap();
+        let view = decode_flat(&pinned, "VECS", Some(&src)).unwrap();
         assert!(!heap.is_mapped());
         assert!(view.is_mapped());
 

@@ -127,7 +127,7 @@ impl Sq8Plane {
         self.row_norm.make_mut().push(norm_sq.sqrt());
     }
 
-    /// Reassemble a plane from decoded parts (the `DJQ1`/`DJQ2` codecs).
+    /// Reassemble a plane from decoded parts (the `DJQ2` codec).
     /// Accepts owned `Vec`s or zero-copy [`PodVec`] views alike. Shape
     /// validation is the codec's job; this only debug-asserts.
     pub fn from_parts(

@@ -1,15 +1,13 @@
 //! `bench_load` — artifact cold-start and hot-reload benchmark.
 //!
-//! Measures what the mmap-backed aligned (v2) layout buys at serve
-//! startup, on a production-shaped artifact (default 200k x 128d, every
-//! section present: model core, f32 vector plane, SQ8 plane, HNSW graph):
+//! Measures what the mmap-backed aligned layout buys at serve startup, on
+//! a production-shaped artifact (default 200k x 128d, every section
+//! present: model core, f32 vector plane, SQ8 plane, HNSW graph):
 //!
-//! * **v1-heap** — the legacy un-sectioned `DJM1` artifact, fully decoded
-//!   onto the heap (the pre-aligned-layout status quo);
-//! * **v2-heap** — the aligned container decoded onto the heap
-//!   (`DEEPJOIN_MMAP=0`);
-//! * **v2-mmap first open** — the aligned container mapped zero-copy with
-//!   the full per-section CRC sweep (no `.stamp` sidecar yet);
+//! * **v2-heap** — the container read and decoded onto the heap
+//!   (`load_model`, the reference twin of the mapped loader);
+//! * **v2-mmap first open** — the container mapped zero-copy with the full
+//!   per-section CRC sweep (no `.stamp` sidecar yet);
 //! * **v2-mmap restart** — the same open with the sidecar present: the
 //!   stamp-trusted remap path a serve restart over an unchanged artifact
 //!   takes. This is the headline `cold_s_v2_mmap` number.
@@ -21,7 +19,7 @@
 //! restart child also reloads the artifact a second time in-process: the
 //! in-process remap path hot reload takes, reported as `hot_reload_ms`.
 //!
-//! Emits a JSON report (schema `bench_load/v1`, default `BENCH_load.json`).
+//! Emits a JSON report (schema `bench_load/v2`, default `BENCH_load.json`).
 //! Run via `scripts/bench.sh load`.
 //!
 //! ```text
@@ -33,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use deepjoin::model::DeepJoin;
-use deepjoin::persist::{encode_model_v1, load_model_path, save_model};
+use deepjoin::persist::{load_model, load_model_path, save_model};
 
 struct Scenario {
     n: usize,
@@ -84,12 +82,16 @@ fn peak_rss_kb() -> u64 {
     0
 }
 
-/// Child mode: load the artifact once (timed), optionally reload it
-/// (the stamp-validated remap path), run a few sanity queries, and print
-/// a single JSON line for the parent to parse.
-fn run_child(path: &Path, reload: bool, sc: &Scenario) {
+/// Child mode: load the artifact once (timed) — read onto the heap, or
+/// mapped — optionally reload it (the stamp-validated remap path), run a
+/// few sanity queries, and print a single JSON line for the parent to parse.
+fn run_child(path: &Path, heap: bool, reload: bool, sc: &Scenario) {
     let started = Instant::now();
-    let loaded = load_model_path(path).expect("child load");
+    let loaded = if heap {
+        load_model(&std::fs::read(path).expect("child read")).expect("child heap load")
+    } else {
+        load_model_path(path).expect("child load")
+    };
     let cold_s = started.elapsed().as_secs_f64();
 
     let hot_ms = if reload {
@@ -139,14 +141,16 @@ struct ModeResult {
     vmhwm_kb: u64,
 }
 
-/// Run one mode in a child process with the mmap toggle set accordingly.
-fn run_mode(path: &Path, mmap: bool, reload: bool, sc: &Scenario) -> ModeResult {
+/// Run one mode in a child process.
+fn run_mode(path: &Path, heap: bool, reload: bool, sc: &Scenario) -> ModeResult {
     let exe = std::env::current_exe().expect("own path");
     let mut cmd = std::process::Command::new(exe);
     cmd.arg("--child")
         .arg(path)
-        .arg(if sc.n >= 100_000 { "--full-shape" } else { "--quick" })
-        .env("DEEPJOIN_MMAP", if mmap { "1" } else { "0" });
+        .arg(if sc.n >= 100_000 { "--full-shape" } else { "--quick" });
+    if heap {
+        cmd.arg("--heap");
+    }
     if reload {
         cmd.arg("--reload");
     }
@@ -171,7 +175,8 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--child") {
         let path = PathBuf::from(args.get(i + 1).expect("--child PATH"));
         let sc = Scenario::new(!args.iter().any(|a| a == "--full-shape"));
-        run_child(&path, args.iter().any(|a| a == "--reload"), &sc);
+        let has = |flag: &str| args.iter().any(|a| a == flag);
+        run_child(&path, has("--heap"), has("--reload"), &sc);
         return;
     }
 
@@ -194,57 +199,46 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("dj-bench-load-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");
-    let v1_path = dir.join("model-v1.djm");
     let v2_path = dir.join("model-v2.djar");
-    let v1_bytes = encode_model_v1(&model, true);
     let v2_bytes = save_model(&model, true);
-    // sync_all so background writeback of the quarter-GB just written
-    // cannot stall the timed loads (one-CPU machines feel this hard).
-    for (path, bytes) in [(&v1_path, &v1_bytes), (&v2_path, &v2_bytes)] {
-        std::fs::write(path, bytes).expect("write artifact");
-        std::fs::File::open(path).and_then(|f| f.sync_all()).expect("sync artifact");
-    }
-    eprintln!(
-        "artifacts: v1 {} bytes, v2 {} bytes",
-        v1_bytes.len(),
-        v2_bytes.len()
-    );
+    // sync_all so background writeback of the artifact just written cannot
+    // stall the timed loads (one-CPU machines feel this hard).
+    std::fs::write(&v2_path, &v2_bytes).expect("write artifact");
+    std::fs::File::open(&v2_path)
+        .and_then(|f| f.sync_all())
+        .expect("sync artifact");
+    eprintln!("artifact: {} bytes", v2_bytes.len());
     drop(model);
 
     // Warm the page cache identically for every mode before timing.
-    std::hint::black_box(std::fs::read(&v1_path).unwrap().len());
     std::hint::black_box(std::fs::read(&v2_path).unwrap().len());
 
-    let v1_heap = run_mode(&v1_path, false, false, &sc);
-    let v2_heap = run_mode(&v2_path, false, false, &sc);
+    let v2_heap = run_mode(&v2_path, true, false, &sc);
     // First mapped open: full CRC sweep, leaves the .stamp sidecar behind.
-    let v2_first = run_mode(&v2_path, true, false, &sc);
+    let v2_first = run_mode(&v2_path, false, false, &sc);
     let sidecar = dir.join("model-v2.djar.stamp");
     assert!(sidecar.exists(), "first mapped open must write the stamp sidecar");
     // Restart: a fresh process trusting the sidecar — the headline number.
-    let v2_mmap = run_mode(&v2_path, true, true, &sc);
+    let v2_mmap = run_mode(&v2_path, false, true, &sc);
 
-    let speedup = v1_heap.cold_s / v2_mmap.cold_s;
+    let speedup = v2_heap.cold_s / v2_mmap.cold_s;
 
     let mut json = String::new();
     let _ = write!(
         json,
         concat!(
             "{{\n",
-            "  \"schema\": \"bench_load/v1\",\n",
+            "  \"schema\": \"bench_load/v2\",\n",
             "  \"mode\": \"{mode}\",\n",
             "  \"corpus\": {{ \"n\": {n}, \"dim\": {dim}, \"nq\": {nq}, \"k\": {k} }},\n",
             "  \"threads\": 1,\n",
-            "  \"artifact_v1_bytes\": {v1b},\n",
             "  \"artifact_v2_bytes\": {v2b},\n",
-            "  \"cold_s_v1_heap\": {c1:.4},\n",
             "  \"cold_s_v2_heap\": {c2:.4},\n",
             "  \"first_open_s_v2_mmap\": {c0:.4},\n",
             "  \"cold_s_v2_mmap\": {c3:.4},\n",
-            "  \"peak_rss_kb_v1_heap\": {r1},\n",
             "  \"peak_rss_kb_v2_heap\": {r2},\n",
             "  \"peak_rss_kb_v2_mmap\": {r3},\n",
-            "  \"cold_speedup_v2_mmap_vs_v1_heap\": {su:.2},\n",
+            "  \"cold_speedup_v2_mmap_vs_v2_heap\": {su:.2},\n",
             "  \"hot_reload_ms\": {hot:.3}\n",
             "}}\n"
         ),
@@ -253,13 +247,10 @@ fn main() {
         dim = sc.dim,
         nq = sc.nq,
         k = sc.k,
-        v1b = v1_bytes.len(),
         v2b = v2_bytes.len(),
-        c1 = v1_heap.cold_s,
         c2 = v2_heap.cold_s,
         c0 = v2_first.cold_s,
         c3 = v2_mmap.cold_s,
-        r1 = v1_heap.vmhwm_kb,
         r2 = v2_heap.vmhwm_kb,
         r3 = v2_mmap.vmhwm_kb,
         su = speedup,
@@ -269,15 +260,13 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     eprintln!(
-        "cold start: v1-heap {:.3}s, v2-heap {:.3}s, v2-mmap first {:.3}s, \
+        "cold start: v2-heap {:.3}s, v2-mmap first {:.3}s, \
          v2-mmap restart {:.3}s ({speedup:.1}x); \
-         hot remap {:.2} ms; peak RSS {} / {} / {} MB",
-        v1_heap.cold_s,
+         hot remap {:.2} ms; peak RSS {} / {} MB",
         v2_heap.cold_s,
         v2_first.cold_s,
         v2_mmap.cold_s,
         v2_mmap.hot_ms,
-        v1_heap.vmhwm_kb / 1024,
         v2_heap.vmhwm_kb / 1024,
         v2_mmap.vmhwm_kb / 1024,
     );

@@ -204,11 +204,10 @@ fn thread_budget(args: &[String]) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Read a lake file (checksummed `DJLAKE2` or legacy text) and regenerate
-/// its corpus.
-fn load_lake(path: &str) -> Result<Corpus, Box<dyn std::error::Error>> {
-    let bytes = std::fs::read(path)?;
-    let config = lakefile::decode(&bytes)?;
+/// Read a checksummed `DJLAKE2` lake file and regenerate its corpus.
+fn load_lake(path: &str) -> Result<Corpus, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
+    let config = lakefile::decode(&bytes).map_err(|e| format!("lake file {path}: {e}"))?;
     Ok(Corpus::generate(config))
 }
 

@@ -40,14 +40,14 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use deepjoin_ann::budget::{Budget, BudgetedSearch};
-use deepjoin_ann::io::{decode_flat_v2_in, decode_tombs_in, encode_flat_v2, encode_tombs, MappedPayload};
+use deepjoin_ann::io::{decode_flat, decode_tombs, encode_flat, encode_tombs, MappedPayload};
 use deepjoin_ann::plane::ByteOwner;
 use deepjoin_ann::segmented::search_segments;
 use deepjoin_ann::{FlatIndex, Metric, SearchRequest, TombSet, VectorIndex};
 use deepjoin_lake::column::{Column, ColumnMeta};
 use deepjoin_par::Pool;
 use deepjoin_store::codec::{DecodeError, DecodeErrorKind, Reader, Writer};
-use deepjoin_store::{is_aligned_container, Container, ContainerBuilder, Mmap, SharedIo, Wal, WalOpen};
+use deepjoin_store::{Container, ContainerBuilder, Mmap, SharedIo, Wal, WalOpen};
 
 use crate::model::DeepJoin;
 
@@ -61,17 +61,16 @@ pub const SECTION_MANIFEST: [u8; 4] = *b"MNFS";
 pub const SECTION_TOMBS: [u8; 4] = *b"TOMB";
 /// Segment container section: the embedded live rows.
 pub const SECTION_SEGMENT: [u8; 4] = *b"SEGM";
-/// Segment container section (v2 layout): the row vectors as a `DJF2`
-/// aligned flat-index payload, mappable zero-copy.
+/// Segment container section: the row vectors as a `DJF2` flat-vector
+/// payload, mappable zero-copy.
 pub const SECTION_SEGMENT_VECS: [u8; 4] = *b"VECS";
 
 const MANIFEST_MAGIC: &[u8; 4] = b"DJMF";
 const MANIFEST_VERSION: u8 = 1;
-const SEGMENT_MAGIC: &[u8; 4] = b"DJS1";
+/// Segment header magic: ids + labels only, vectors live in the `VECS`
+/// section of the same container.
+const SEGMENT_MAGIC: &[u8; 4] = b"DJS2";
 const SEGMENT_VERSION: u8 = 1;
-/// v2 segment header magic: ids + labels only, vectors live in the
-/// `VECS` section of the same (aligned) container.
-const SEGMENT_MAGIC_V2: &[u8; 4] = b"DJS2";
 
 /// WAL record body tags.
 const OP_ADD_TABLE: u8 = 1;
@@ -280,18 +279,14 @@ fn decode_manifest(bytes: &[u8]) -> Result<(Manifest, Option<TombSet>, Vec<Strin
     Ok((manifest, tombs, warnings))
 }
 
-fn decode_tombs(buf: &[u8]) -> Result<TombSet, DecodeError> {
-    decode_tombs_in(buf, "TOMB")
-}
-
-/// Encode a segment in the aligned (v2) container layout: the `SEGM`
-/// section carries ids and labels only, and the vector plane lives in a
-/// separate `VECS` section as a v2 flat payload whose raw f32 blob sits
-/// on a 64-byte file boundary — so a reopened segment file can be
-/// mmap'd and searched in place without copying the vectors.
+/// Encode a segment container: the `SEGM` section carries ids and labels
+/// only, and the vector plane lives in a separate `VECS` section as a
+/// `DJF2` payload whose raw f32 blob sits on a 64-byte file boundary — so
+/// a reopened segment file can be mmap'd and searched in place without
+/// copying the vectors.
 fn encode_segment(rows: &[LiveRow], dim: usize, metric: Metric) -> Vec<u8> {
     let mut w = Writer::with_capacity(32 + rows.len() * 16);
-    w.put_slice(SEGMENT_MAGIC_V2);
+    w.put_slice(SEGMENT_MAGIC);
     w.put_u8(SEGMENT_VERSION);
     w.put_u32_le(dim as u32);
     w.put_u32_le(rows.len() as u32);
@@ -306,19 +301,16 @@ fn encode_segment(rows: &[LiveRow], dim: usize, metric: Metric) -> Vec<u8> {
     for r in rows {
         index.add(&r.embedding);
     }
-    ContainerBuilder::aligned()
+    ContainerBuilder::new()
         .section(SECTION_SEGMENT, w.into_vec())
-        .section(SECTION_SEGMENT_VECS, encode_flat_v2(&index))
+        .section(SECTION_SEGMENT_VECS, encode_flat(&index))
         .build()
 }
 
-/// Decode a segment container straight into a loaded [`Segment`].
-///
-/// Handles both on-disk generations: the aligned v2 layout (`DJS2`
-/// header + `VECS` flat payload, viewed zero-copy when `mapped` carries
-/// the file's pinned mapping) and the legacy v1 row format (always
-/// heap-decoded). Structural validation is identical either way — a
-/// mapping is never trusted.
+/// Decode a segment container straight into a loaded [`Segment`], the
+/// vector plane viewed zero-copy when `mapped` carries the file's pinned
+/// mapping. Structural validation is identical either way — a mapping is
+/// never trusted.
 fn decode_segment_loaded(
     bytes: &[u8],
     mapped: Option<&ByteOwner>,
@@ -337,59 +329,6 @@ fn decode_segment_loaded(
         Some(res) => res?,
     };
     let mut r = Reader::new(payload, "SEGM");
-    if payload.starts_with(SEGMENT_MAGIC_V2) {
-        r.expect_magic(SEGMENT_MAGIC_V2)?;
-        r.expect_version(SEGMENT_VERSION)?;
-        let seg_dim = r.u32_le()? as usize;
-        if seg_dim != dim {
-            return Err(r.error(DecodeErrorKind::Invalid(
-                "segment dimensionality disagrees with the model",
-            )));
-        }
-        // A row header is at least id + two string length prefixes.
-        let n = r.count_u32(12)?;
-        let mut ids = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(r.u32_le()?);
-            labels.push((r.str_prefixed()?, r.str_prefixed()?));
-        }
-        if !r.is_empty() {
-            return Err(r.error(DecodeErrorKind::Invalid("trailing bytes after segment")));
-        }
-        let range = match container.section_range(SECTION_SEGMENT_VECS, "VECS") {
-            None => {
-                return Err(DecodeError::new(
-                    DecodeErrorKind::Invalid("segment container has no VECS section"),
-                    "VECS",
-                    0,
-                ))
-            }
-            Some(res) => res?,
-        };
-        let vecs = &bytes[range.offset..range.offset + range.len];
-        let src = mapped.map(|owner| MappedPayload {
-            owner: owner.clone(),
-            base: range.offset,
-        });
-        let index = decode_flat_v2_in(vecs, "VECS", src.as_ref())?;
-        if index.len() != n || index.dim() != dim.max(1) || index.metric() != metric {
-            return Err(DecodeError::new(
-                DecodeErrorKind::Invalid("segment vector plane disagrees with its header"),
-                "VECS",
-                0,
-            ));
-        }
-        return Ok(Segment {
-            ids: Arc::new(ids),
-            labels: Arc::new(labels),
-            // `Segment::build` stores unit-norm rows; restore the same
-            // cosine fast path so mapped and rebuilt segments score
-            // byte-identically.
-            index: Arc::new(index.with_unit_norm(true)),
-        });
-    }
-    // Legacy v1 segment: inline rows, always heap.
     r.expect_magic(SEGMENT_MAGIC)?;
     r.expect_version(SEGMENT_VERSION)?;
     let seg_dim = r.u32_le()? as usize;
@@ -398,60 +337,67 @@ fn decode_segment_loaded(
             "segment dimensionality disagrees with the model",
         )));
     }
-    // A row header is at least id + two string length prefixes = 12 bytes.
+    // A row header is at least id + two string length prefixes.
     let n = r.count_u32(12)?;
-    let mut heads = Vec::with_capacity(n);
+    let mut ids = Vec::with_capacity(n);
+    let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = r.u32_le()?;
-        let table = r.str_prefixed()?;
-        let column = r.str_prefixed()?;
-        heads.push((id, table, column));
-    }
-    let data = r.f32s()?;
-    if data.len() != n * dim {
-        return Err(r.error(DecodeErrorKind::Invalid(
-            "segment vector block does not cover its rows",
-        )));
+        ids.push(r.u32_le()?);
+        labels.push((r.str_prefixed()?, r.str_prefixed()?));
     }
     if !r.is_empty() {
         return Err(r.error(DecodeErrorKind::Invalid("trailing bytes after segment")));
     }
-    let rows: Vec<LiveRow> = heads
-        .into_iter()
-        .zip(data.chunks(dim.max(1)))
-        .map(|((id, table, column), chunk)| LiveRow {
-            id,
-            table,
-            column,
-            embedding: chunk.to_vec(),
-        })
-        .collect();
-    Ok(Segment::build(&rows, dim, metric))
+    let range = match container.section_range(SECTION_SEGMENT_VECS, "VECS") {
+        None => {
+            return Err(DecodeError::new(
+                DecodeErrorKind::Invalid("segment container has no VECS section"),
+                "VECS",
+                0,
+            ))
+        }
+        Some(res) => res?,
+    };
+    let vecs = &bytes[range.offset..range.offset + range.len];
+    let src = mapped.map(|owner| MappedPayload {
+        owner: owner.clone(),
+        base: range.offset,
+    });
+    let index = decode_flat(vecs, "VECS", src.as_ref())?;
+    if index.len() != n || index.dim() != dim.max(1) || index.metric() != metric {
+        return Err(DecodeError::new(
+            DecodeErrorKind::Invalid("segment vector plane disagrees with its header"),
+            "VECS",
+            0,
+        ));
+    }
+    Ok(Segment {
+        ids: Arc::new(ids),
+        labels: Arc::new(labels),
+        // `Segment::build` stores unit-norm rows; restore the same cosine
+        // fast path so mapped and rebuilt segments score byte-identically.
+        index: Arc::new(index.with_unit_norm(true)),
+    })
 }
 
-/// Open one segment file. Tries the zero-copy path first — mmap the
-/// real file and view its vector plane in place — and falls back to the
-/// io-mediated heap read for legacy v1 segments, non-aligned files, and
-/// test doubles whose "files" have no real backing on disk. Any failure
-/// on the mapped path (including a file that parses but fails
-/// validation) retries through `io`, so fault-injection wrappers always
-/// see the read they expect to intercept.
+/// Open one segment file. Tries the zero-copy path first — mmap the real
+/// file and view its vector plane in place — and falls back to the
+/// io-mediated heap read for test doubles whose "files" have no real
+/// backing on disk. Any failure on the mapped path (including a file that
+/// parses but fails validation) retries through `io`, so fault-injection
+/// wrappers always see the read they expect to intercept.
 fn load_segment(
     io: &SharedIo,
     path: &std::path::Path,
     dim: usize,
     metric: Metric,
 ) -> Result<Segment, String> {
-    if crate::persist::mmap_enabled() {
-        if let Ok(map) = Mmap::open(path) {
-            if is_aligned_container(&map) {
-                let owner: ByteOwner = Arc::new(map);
-                let buf_owner = owner.clone();
-                let buf: &[u8] = buf_owner.as_ref().as_ref();
-                if let Ok(seg) = decode_segment_loaded(buf, Some(&owner), dim, metric) {
-                    return Ok(seg);
-                }
-            }
+    if let Ok(map) = Mmap::open(path) {
+        let owner: ByteOwner = Arc::new(map);
+        let buf_owner = owner.clone();
+        let buf: &[u8] = buf_owner.as_ref().as_ref();
+        if let Ok(seg) = decode_segment_loaded(buf, Some(&owner), dim, metric) {
+            return Ok(seg);
         }
     }
     let bytes = io.read(path).map_err(|e| e.to_string())?;
@@ -1443,7 +1389,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_segment_roundtrips_heap_and_mapped_byte_identically() {
+    fn segment_roundtrips_heap_and_mapped_byte_identically() {
         let (dim, metric) = (8, Metric::Cosine);
         let rows = test_rows(17, dim);
         let built = Segment::build(&rows, dim, metric);
@@ -1468,42 +1414,6 @@ mod tests {
                 assert_eq!(g.id, w.id);
                 assert_eq!(g.distance.to_bits(), w.distance.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn legacy_v1_segment_still_loads_on_heap() {
-        let (dim, metric) = (6, Metric::Cosine);
-        let rows = test_rows(9, dim);
-        // Byte-for-byte the pre-v2 writer: inline rows in a compact container.
-        let mut w = Writer::with_capacity(64);
-        w.put_slice(SEGMENT_MAGIC);
-        w.put_u8(SEGMENT_VERSION);
-        w.put_u32_le(dim as u32);
-        w.put_u32_le(rows.len() as u32);
-        for r in &rows {
-            w.put_u32_le(r.id);
-            w.put_str(&r.table);
-            w.put_str(&r.column);
-        }
-        let mut data = Vec::new();
-        for r in &rows {
-            data.extend_from_slice(&r.embedding);
-        }
-        w.put_f32s(&data);
-        let bytes = ContainerBuilder::new()
-            .section(SECTION_SEGMENT, w.into_vec())
-            .build();
-
-        let seg = decode_segment_loaded(&bytes, None, dim, metric).unwrap();
-        assert!(!seg.index.is_mapped());
-        let built = Segment::build(&rows, dim, metric);
-        assert_eq!(*seg.ids, *built.ids);
-        assert_eq!(*seg.labels, *built.labels);
-        let q = query(dim);
-        let (got, want) = (seg_hits(&seg, &q, 4), seg_hits(&built, &q, 4));
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!((g.id, g.distance.to_bits()), (w.id, w.distance.to_bits()));
         }
     }
 
@@ -1533,7 +1443,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_v2_segment_errors_instead_of_panicking() {
+    fn corrupt_segment_errors_instead_of_panicking() {
         let (dim, metric) = (4, Metric::Cosine);
         let rows = test_rows(6, dim);
         let good = encode_segment(&rows, dim, metric);
@@ -1547,5 +1457,16 @@ mod tests {
                 assert_eq!(seg.index.len(), seg.ids.len());
             }
         }
+    }
+
+    /// A flushed segment's bytes, pinned: the container and `DJF2` writers
+    /// must keep producing this exact image.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let bytes = encode_segment(&test_rows(17, 8), 8, Metric::Cosine);
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+        });
+        assert_eq!(fnv1a, 0xa4e6_7146_8cb8_eae3);
     }
 }

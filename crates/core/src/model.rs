@@ -756,11 +756,11 @@ mod tests {
         exact.add_batch(&vectors);
         let mut nodes: Vec<Vec<Vec<u32>>> = (0..64u32).map(|i| vec![vec![(i + 1) % 64]]).collect();
         nodes[0][0].push(9_999);
-        model.index = IndexState::Hnsw(HnswIndex::from_raw_parts(
+        model.index = IndexState::Hnsw(HnswIndex::from_graph_parts(
             model.config.hnsw,
             8,
             vectors.clone(),
-            nodes,
+            deepjoin_ann::graph::Graph::from_adjacency(nodes),
             Some(0),
             0,
             5,

@@ -3,20 +3,21 @@
 //! A saved model carries everything inference and indexing need — the
 //! contextualizer (option, cell budget, cell frequencies), the vocabulary,
 //! the encoder configuration and parameters, and (optionally) the built
-//! index. Since v2 the on-disk form is a `DJAR` container
-//! (`deepjoin_store::container`) with three checksummed sections:
+//! index. The on-disk form is a `DJAR` container
+//! (`deepjoin_store::container`, DESIGN.md §8) with checksummed sections:
 //!
 //! * `MODL` — the model core (config, frequencies, vocabulary, encoder);
 //!   mandatory, and a checksum failure here is fatal;
-//! * `VECS` — the indexed embedding vectors as a `DJF1` flat-index payload;
-//! * `HNSW` — the graph half of the HNSW index as a `DJG1` payload.
+//! * `TLIN` — the training lineage (advisory);
+//! * `VECS` — the indexed embedding vectors as a `DJF2` payload;
+//! * `SQ8V` — the optional SQ8 plane as a `DJQ2` payload;
+//! * `HNSW` — the graph half of the HNSW index as a `DJG2` payload.
 //!
 //! Splitting vectors from graph is what makes *graceful degradation*
 //! possible: when the `HNSW` section fails its CRC but `VECS` survives,
 //! [`load_model`] returns a model in [`IndexState::DegradedFlat`] — exact
 //! (slower) search over the same vectors — with a warning, instead of
-//! refusing to load. Legacy v1 `DJM1` snapshots (un-sectioned, no
-//! checksums) are still read.
+//! refusing to load.
 //!
 //! Training-only settings (optimizer, labeling thresholds, SGNS) are *not*
 //! persisted: a loaded model can embed, index and search, but continuing
@@ -27,19 +28,17 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use deepjoin_ann::flat::FlatIndex;
-use deepjoin_ann::hnsw::HnswIndex;
 use deepjoin_ann::index::VectorIndex;
 use deepjoin_ann::io::{
-    decode_flat_in, decode_flat_v2_in, decode_hnsw_graph, decode_hnsw_graph_v2, decode_hnsw_in,
-    decode_sq8_in, decode_sq8_v2_in, encode_flat_v2, encode_hnsw_graph_v2, encode_sq8_v2,
-    DecodeError, MappedPayload, MAGIC_FLAT_V2, MAGIC_HNSW_GRAPH_V2, MAGIC_SQ8_V2,
+    decode_flat, decode_hnsw_graph, decode_sq8, encode_flat, encode_hnsw_graph, encode_sq8,
+    DecodeError, MappedPayload,
 };
-use deepjoin_ann::plane::{ByteOwner, PodVec};
+use deepjoin_ann::plane::ByteOwner;
 use deepjoin_ann::sq8::Sq8Plane;
 use deepjoin_lake::tokenizer::Vocabulary;
 use deepjoin_nn::encoder::{ColumnEncoder, EncoderConfig, Pooling};
 use deepjoin_store::codec::{DecodeErrorKind, Reader, Writer};
-use deepjoin_store::{is_aligned_container, is_container, Container, ContainerBuilder, Mmap};
+use deepjoin_store::{Container, ContainerBuilder, Mmap};
 
 use crate::model::{DeepJoin, DeepJoinConfig, IndexState, TrainLineage, Variant};
 use crate::text::{CellFrequencies, Textizer, TransformOption};
@@ -48,27 +47,23 @@ use crate::text::{CellFrequencies, Textizer, TransformOption};
 pub const SECTION_MODEL: [u8; 4] = *b"MODL";
 /// Container section holding the training lineage (`DJTL`).
 pub const SECTION_LINEAGE: [u8; 4] = *b"TLIN";
-/// Container section holding the indexed embedding vectors (`DJF1`).
+/// Container section holding the indexed embedding vectors (`DJF2`).
 pub const SECTION_VECTORS: [u8; 4] = *b"VECS";
-/// Container section holding the SQ8 quantized vector plane (`DJQ1`).
+/// Container section holding the SQ8 quantized vector plane (`DJQ2`).
 /// Written between `VECS` and `HNSW` so the graph stays the trailing
 /// section (tail truncation keeps damaging the graph first, the most
 /// gracefully degradable section).
 pub const SECTION_SQ8: [u8; 4] = *b"SQ8V";
-/// Container section holding the HNSW graph (`DJG1`).
+/// Container section holding the HNSW graph (`DJG2`).
 pub const SECTION_GRAPH: [u8; 4] = *b"HNSW";
 
-/// Magic of the v2 model-core payload inside the `MODL` section.
+/// Magic of the model-core payload inside the `MODL` section.
 const CORE_MAGIC: &[u8; 4] = b"DJM2";
 const CORE_VERSION: u8 = 1;
 
 /// Magic of the lineage payload inside the `TLIN` section.
 const LINEAGE_MAGIC: &[u8; 4] = b"DJTL";
 const LINEAGE_VERSION: u8 = 1;
-
-/// Magic of the legacy whole-file v1 format.
-const MAGIC_V1: &[u8; 4] = b"DJM1";
-const VERSION_V1: u8 = 1;
 
 /// Backing report for one container section after a load — the
 /// `dj info` mapped-vs-resident view.
@@ -93,7 +88,7 @@ pub struct LoadedModel {
     /// Human-readable accounts of anything that could not be restored.
     pub warnings: Vec<String>,
     /// Per-section backing (file bytes, mapped or heap, resident bytes),
-    /// in file order. Empty for legacy v1 snapshots.
+    /// in file order.
     pub sections: Vec<SectionInfo>,
 }
 
@@ -135,8 +130,7 @@ fn transform_from(r: &Reader<'_>, tag: u8) -> Result<TransformOption, DecodeErro
         .ok_or_else(|| r.error(DecodeErrorKind::BadDiscriminant(tag)))
 }
 
-/// Model core fields, shared verbatim between the v1 body and the v2
-/// `MODL` section (the layouts are byte-identical past their headers).
+/// Model core fields: the `MODL` payload past its magic and version.
 fn put_core(out: &mut Writer, model: &DeepJoin) {
     let cfg = &model.config;
     out.put_u8(match cfg.variant {
@@ -330,31 +324,9 @@ fn get_core(r: &mut Reader<'_>) -> Result<CoreParts, DecodeError> {
     })
 }
 
-/// The legacy whole-file v1 (`DJM1`) writer: un-sectioned, no checksums,
-/// nothing mappable. New artifacts are always v2 — this exists so the
-/// compat read path and the load benchmark can produce real v1 inputs
-/// (the pre-aligned-layout status quo the startup numbers are measured
-/// against).
-pub fn encode_model_v1(model: &DeepJoin, include_index: bool) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.put_slice(MAGIC_V1);
-    out.put_u8(VERSION_V1);
-    put_core(&mut out, model);
-    match (&model.index, include_index) {
-        (IndexState::Hnsw(index), true) => {
-            out.put_u8(1);
-            let encoded = deepjoin_ann::io::encode_hnsw(index);
-            out.put_u64_le(encoded.len() as u64);
-            out.put_slice(&encoded);
-        }
-        _ => out.put_u8(0),
-    }
-    out.into_vec()
-}
-
-/// Serialize a trained model as an **aligned** (v2) `DJAR` container whose
-/// index sections use the v2 aligned payloads (`DJF2`/`DJQ2`/`DJG2`) — the
-/// layout [`load_model_path`] can map zero-copy. Set `include_index` to
+/// Serialize a trained model as a `DJAR` container whose index sections
+/// use the aligned payloads (`DJF2`/`DJQ2`/`DJG2`) — the layout
+/// [`load_model_path`] maps zero-copy. Set `include_index` to
 /// persist the built index alongside the encoder (larger file, instant
 /// reload of search). A degraded model saves its vectors but no graph, so
 /// it reloads degraded rather than silently losing exactness guarantees.
@@ -363,7 +335,7 @@ pub fn save_model(model: &DeepJoin, include_index: bool) -> Vec<u8> {
     core.put_slice(CORE_MAGIC);
     core.put_u8(CORE_VERSION);
     put_core(&mut core, model);
-    let mut builder = ContainerBuilder::aligned().section(SECTION_MODEL, core.into_vec());
+    let mut builder = ContainerBuilder::new().section(SECTION_MODEL, core.into_vec());
     if let Some(lineage) = &model.lineage {
         let mut w = Writer::new();
         put_lineage(&mut w, lineage);
@@ -377,16 +349,16 @@ pub fn save_model(model: &DeepJoin, include_index: bool) -> Vec<u8> {
                     index.config().metric,
                     index.vectors_plane().clone(),
                 );
-                builder = builder.section(SECTION_VECTORS, encode_flat_v2(&flat));
+                builder = builder.section(SECTION_VECTORS, encode_flat(&flat));
                 if let Some(plane) = index.sq8() {
-                    builder = builder.section(SECTION_SQ8, encode_sq8_v2(plane));
+                    builder = builder.section(SECTION_SQ8, encode_sq8(plane));
                 }
-                builder = builder.section(SECTION_GRAPH, encode_hnsw_graph_v2(index));
+                builder = builder.section(SECTION_GRAPH, encode_hnsw_graph(index));
             }
             IndexState::DegradedFlat { index, .. } => {
-                builder = builder.section(SECTION_VECTORS, encode_flat_v2(index));
+                builder = builder.section(SECTION_VECTORS, encode_flat(index));
                 if let Some(plane) = index.sq8() {
-                    builder = builder.section(SECTION_SQ8, encode_sq8_v2(plane));
+                    builder = builder.section(SECTION_SQ8, encode_sq8(plane));
                 }
             }
             IndexState::None => {}
@@ -395,10 +367,9 @@ pub fn save_model(model: &DeepJoin, include_index: bool) -> Vec<u8> {
     builder.build()
 }
 
-/// Deserialize a model saved by [`save_model`] (v2 container) or by the
-/// pre-container v1 writer (`DJM1`), decoding everything onto the heap.
-/// Prefer [`load_model_path`] when the artifact is a file: it maps aligned
-/// containers zero-copy instead.
+/// Deserialize a model saved by [`save_model`], decoding everything onto
+/// the heap — the reference twin of [`load_model_path`], which maps the
+/// same bytes zero-copy instead.
 ///
 /// Corruption of the model core is fatal. Corruption of the index sections
 /// degrades instead: a damaged graph falls back to exact flat search over
@@ -406,52 +377,7 @@ pub fn save_model(model: &DeepJoin, include_index: bool) -> Vec<u8> {
 /// drop the index entirely — each with an entry in
 /// [`LoadedModel::warnings`].
 pub fn load_model(buf: &[u8]) -> Result<LoadedModel, DecodeError> {
-    if is_container(buf) {
-        load_v2(buf, None, true)
-    } else {
-        load_v1(buf)
-    }
-}
-
-/// Decode a flat-index payload of either generation; `src` enables the
-/// zero-copy path for `DJF2`.
-fn decode_flat_any(
-    buf: &[u8],
-    label: &'static str,
-    src: Option<&MappedPayload>,
-) -> Result<FlatIndex, DecodeError> {
-    if buf.starts_with(MAGIC_FLAT_V2) {
-        decode_flat_v2_in(buf, label, src)
-    } else {
-        decode_flat_in(buf, label)
-    }
-}
-
-/// Decode an SQ8 payload of either generation.
-fn decode_sq8_any(
-    buf: &[u8],
-    label: &'static str,
-    src: Option<&MappedPayload>,
-) -> Result<Sq8Plane, DecodeError> {
-    if buf.starts_with(MAGIC_SQ8_V2) {
-        decode_sq8_v2_in(buf, label, src)
-    } else {
-        decode_sq8_in(buf, label)
-    }
-}
-
-/// Decode a graph-only HNSW payload of either generation over `vectors`.
-fn decode_graph_any(
-    buf: &[u8],
-    label: &'static str,
-    vectors: PodVec<f32>,
-    src: Option<&MappedPayload>,
-) -> Result<HnswIndex, DecodeError> {
-    if buf.starts_with(MAGIC_HNSW_GRAPH_V2) {
-        decode_hnsw_graph_v2(buf, label, vectors, src)
-    } else {
-        decode_hnsw_graph(buf, label, vectors.into_vec())
-    }
+    load_container(buf, None, true)
 }
 
 /// How one load resolves container sections: the parsed container, plus
@@ -491,7 +417,11 @@ impl<'a> Sections<'a> {
     }
 }
 
-fn load_v2(buf: &[u8], mapped: Option<ByteOwner>, verify: bool) -> Result<LoadedModel, DecodeError> {
+fn load_container(
+    buf: &[u8],
+    mapped: Option<ByteOwner>,
+    verify: bool,
+) -> Result<LoadedModel, DecodeError> {
     let sections = Sections {
         container: Container::parse(buf)?,
         buf,
@@ -530,7 +460,7 @@ fn load_v2(buf: &[u8], mapped: Option<ByteOwner>, verify: bool) -> Result<Loaded
     };
     let index = match sections.get(SECTION_VECTORS, "VECS") {
         None => IndexState::None,
-        Some(vecs) => match vecs.and_then(|(b, src)| decode_flat_any(b, "VECS", src.as_ref())) {
+        Some(vecs) => match vecs.and_then(|(b, src)| decode_flat(b, "VECS", src.as_ref())) {
             Ok(flat) => restore_index(&sections, flat, &mut warnings),
             Err(e) => {
                 warnings.push(format!(
@@ -587,15 +517,6 @@ fn section_report(container: &Container<'_>, model: &DeepJoin) -> Vec<SectionInf
             }
         })
         .collect()
-}
-
-/// True unless `DEEPJOIN_MMAP` is set to `0`/`off`/`false` — the toggle the
-/// serve e2e suite uses to exercise both backings.
-pub(crate) fn mmap_enabled() -> bool {
-    match std::env::var("DEEPJOIN_MMAP") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    }
 }
 
 /// Identity of a file's content for the validated-artifact cache.
@@ -694,74 +615,44 @@ fn write_stamp_sidecar(path: &Path, stamp: &FileStamp) {
 /// The shared artifact loader every path-taking call site goes through
 /// (`dj serve`, `dj info`, `dj query`, snapshot reload).
 ///
-/// * **Aligned (v2) containers** are `mmap(2)`-ed and their index planes
-///   decoded as zero-copy views of the mapping — cold start does no vector
-///   copy, and cold RSS stays at the heap structures only. Disable with
-///   `DEEPJOIN_MMAP=0` (the planes then decode onto the heap from the same
-///   bytes, byte-identically).
+/// * The file is `mmap(2)`-ed and its index planes decoded as zero-copy
+///   views of the mapping — cold start does no vector copy, and cold RSS
+///   stays at the heap structures only. [`load_model`] over the same bytes
+///   answers byte-identically.
 /// * **Reloads of an unchanged file** (same device/inode/mtime/size as a
-///   load already fully verified — by this process, or by a previous one
-///   via the `<artifact>.stamp` sidecar) skip the payload CRC sweep, so a
-///   hot remap *and* a process restart cost milliseconds, not a full
-///   re-read. Any change to the file (production writes go through
+///   load already fully verified *and clean* — by this process, or by a
+///   previous one via the `<artifact>.stamp` sidecar) skip the payload CRC
+///   sweep, so a hot remap *and* a process restart cost milliseconds, not
+///   a full re-read. Any change to the file (production writes go through
 ///   temp-file + rename, changing the inode) voids the stamp and forces a
-///   full sweep. Delete the sidecar to force re-verification.
-/// * **Legacy artifacts** (v1 containers, `DJM1` files) fall back to a
-///   heap `std::fs::read` load with one warning and identical behavior.
+///   full sweep; a degraded artifact re-verifies and re-warns on every
+///   load. Delete the sidecar to force re-verification.
 ///
 /// Errors carry the path and the failing stage, uniformly.
 pub fn load_model_path(path: &Path) -> Result<LoadedModel, String> {
-    let want_mmap = mmap_enabled();
+    let map = Mmap::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     #[cfg(unix)]
-    if want_mmap {
-        match Mmap::open(path) {
-            Ok(map) => {
-                if is_aligned_container(&map) {
-                    let stamp = file_stamp(path);
-                    // Skip the payload CRC sweep when this exact file
-                    // content (device/inode/mtime/size) was already fully
-                    // verified — by this process (hot reload) or by a
-                    // previous one that left a stamp sidecar (restart).
-                    let verify = match &stamp {
-                        Some(s) => {
-                            !already_validated(path, s)
-                                && read_stamp_sidecar(path).as_ref() != Some(s)
-                        }
-                        None => true,
-                    };
-                    let owner: ByteOwner = Arc::new(map);
-                    let buf_owner = owner.clone();
-                    let buf: &[u8] = buf_owner.as_ref().as_ref();
-                    let loaded = load_v2(buf, Some(owner), verify)
-                        .map_err(|e| format!("load {}: {e}", path.display()))?;
-                    if verify {
-                        if let Some(s) = stamp {
-                            record_validated(path, s);
-                            // Only a wholly clean load earns a persistent
-                            // stamp: a degraded artifact must re-verify
-                            // (and re-warn) on every start.
-                            if loaded.warnings.is_empty() {
-                                write_stamp_sidecar(path, &s);
-                            }
-                        }
-                    }
-                    return Ok(loaded);
-                }
-                // v1 artifact: fall through to the heap path below.
-            }
-            Err(e) => return Err(format!("open {}: {e}", path.display())),
-        }
-    }
-    let bytes =
-        std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut loaded =
-        load_model(&bytes).map_err(|e| format!("load {}: {e}", path.display()))?;
-    if want_mmap && !is_aligned_container(&bytes) {
-        loaded.warnings.push(format!(
-            "artifact {} predates the aligned (v2) layout; loaded on heap — \
-             re-save with `dj build` to enable zero-copy mmap",
-            path.display()
-        ));
+    let stamp = file_stamp(path);
+    // Skip the payload CRC sweep when this exact file content was already
+    // fully verified — by this process (hot reload) or by a previous one
+    // that left a stamp sidecar (restart).
+    #[cfg(unix)]
+    let verify = stamp.as_ref().is_none_or(|s| {
+        !already_validated(path, s) && read_stamp_sidecar(path).as_ref() != Some(s)
+    });
+    #[cfg(not(unix))]
+    let verify = true;
+    let owner: ByteOwner = Arc::new(map);
+    let buf_owner = owner.clone();
+    let buf: &[u8] = buf_owner.as_ref().as_ref();
+    let loaded = load_container(buf, Some(owner), verify)
+        .map_err(|e| format!("load {}: {e}", path.display()))?;
+    // Only a wholly clean load earns trust, in this process or the next: a
+    // degraded artifact must re-verify (and re-warn) on every load.
+    #[cfg(unix)]
+    if let Some(s) = stamp.filter(|_| verify && loaded.warnings.is_empty()) {
+        record_validated(path, s);
+        write_stamp_sidecar(path, &s);
     }
     Ok(loaded)
 }
@@ -807,7 +698,7 @@ fn restore_index(
     // Share the flat plane's backing with the graph index: for a mapped
     // load both view the same mapping; for heap both clone the decode.
     let vectors = flat.plane().clone();
-    match decode_graph_any(graph, "HNSW", vectors, graph_src.as_ref()) {
+    match decode_hnsw_graph(graph, "HNSW", vectors, graph_src.as_ref()) {
         Ok(mut index) => {
             if let Some(plane) = sq8 {
                 index.attach_sq8(plane);
@@ -838,7 +729,7 @@ fn restore_sq8(
     warnings: &mut Vec<String>,
 ) -> Option<Sq8Plane> {
     match sections.get(SECTION_SQ8, "SQ8V")? {
-        Ok((bytes, src)) => match decode_sq8_any(bytes, "SQ8V", src.as_ref()) {
+        Ok((bytes, src)) => match decode_sq8(bytes, "SQ8V", src.as_ref()) {
             Ok(plane) if plane.dim() == flat.dim() && plane.len() == flat.len() => Some(plane),
             Ok(_) => {
                 warnings.push(
@@ -864,30 +755,6 @@ fn restore_sq8(
             None
         }
     }
-}
-
-fn load_v1(buf: &[u8]) -> Result<LoadedModel, DecodeError> {
-    let mut r = Reader::new(buf, "DJM1");
-    r.expect_magic(MAGIC_V1)?;
-    r.expect_version(VERSION_V1)?;
-    let core = get_core(&mut r)?;
-    // v1 has no checksums, so there is nothing to selectively trust: any
-    // index decode failure is fatal, as it was for the v1 loader.
-    let index = match r.u8()? {
-        0 => IndexState::None,
-        1 => {
-            let n = r.count(1)?;
-            let encoded = r.bytes(n)?;
-            IndexState::Hnsw(decode_hnsw_in(encoded, "DJM1")?)
-        }
-        other => return Err(r.error(DecodeErrorKind::BadDiscriminant(other))),
-    };
-    Ok(LoadedModel {
-        // v1 predates lineage tracking (and sectioned layout).
-        model: core.into_model(index, None),
-        warnings: Vec::new(),
-        sections: Vec::new(),
-    })
 }
 
 #[cfg(test)]
@@ -969,11 +836,6 @@ mod tests {
         (model, vectors)
     }
 
-    /// The legacy v1 writer under its historical test-side name.
-    fn save_model_v1(model: &DeepJoin, include_index: bool) -> Vec<u8> {
-        encode_model_v1(model, include_index)
-    }
-
     #[test]
     fn roundtrip_preserves_embeddings_and_search() {
         let (model, _repo, corpus) = trained();
@@ -1002,26 +864,6 @@ mod tests {
         let a: Vec<u32> = model.search(&q, 5).iter().map(|s| s.id.0).collect();
         let b: Vec<u32> = loaded.search(&q, 5).iter().map(|s| s.id.0).collect();
         assert_eq!(a, b, "re-indexing reproduces the same graph (same seed)");
-    }
-
-    #[test]
-    fn v1_snapshot_still_loads() {
-        let (model, _) = tiny_indexed(30);
-        let bytes = save_model_v1(&model, true);
-        let loaded = load_model(&bytes).unwrap();
-        assert!(loaded.warnings.is_empty());
-        assert_eq!(loaded.model.index_health(), IndexHealth::Hnsw);
-        assert_eq!(loaded.model.indexed_len(), 30);
-        let mut rng = StdRng::seed_from_u64(99);
-        let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let a: Vec<u32> = model.search_embedded(&q, 5).iter().map(|s| s.id.0).collect();
-        let b: Vec<u32> = loaded
-            .model
-            .search_embedded(&q, 5)
-            .iter()
-            .map(|s| s.id.0)
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1119,7 +961,7 @@ mod tests {
         let IndexState::Hnsw(index) = &model.index else {
             unreachable!()
         };
-        let payload = encode_sq8_v2(index.sq8().unwrap());
+        let payload = encode_sq8(index.sq8().unwrap());
         let pos = bytes
             .windows(payload.len())
             .position(|w| w == payload.as_slice())
@@ -1167,7 +1009,7 @@ mod tests {
             index.config().metric,
             index.vectors_plane().clone(),
         );
-        let payload = encode_flat_v2(&flat);
+        let payload = encode_flat(&flat);
         let pos = bytes
             .windows(payload.len())
             .position(|w| w == payload.as_slice())
@@ -1180,6 +1022,17 @@ mod tests {
         assert_eq!(loaded.model.indexed_len(), 0);
         assert_eq!(loaded.warnings.len(), 1);
         assert!(loaded.warnings[0].contains("re-index before searching"));
+
+        // The flipped f32 still decodes, so only the CRC can catch it: a
+        // reload of the unchanged damaged file in the same process must
+        // re-verify and re-warn, never take the trusted remap path.
+        let path = write_temp(&bad, "damaged-vecs");
+        for _ in 0..2 {
+            let again = load_model_path(&path).unwrap();
+            assert_eq!(again.warnings, loaded.warnings);
+            assert_eq!(again.model.index_health(), IndexHealth::Missing);
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1188,30 +1041,48 @@ mod tests {
         let bytes = save_model(&model, false);
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        // Neither a container nor a v1 file.
         let err = load_model(&bad).unwrap_err();
         assert_eq!(err.kind, DecodeErrorKind::BadMagic);
         assert!(load_model(&bytes[..bytes.len() / 2]).is_err());
+
+        // Files of a retired generation are refused with a located error —
+        // never a panic, never a heap fallback — on both loaders: a
+        // version-1 (unpadded) container, and a pre-container whole file.
+        let mut compact = bytes.clone();
+        compact[4] = 1;
+        let mut whole_file = b"DJM1\x01".to_vec();
+        whole_file.extend_from_slice(&bytes[5..]);
+        for (tag, old, want) in [
+            ("compact", compact, DecodeErrorKind::BadVersion(1)),
+            ("whole-file", whole_file, DecodeErrorKind::BadMagic),
+        ] {
+            let err = load_model(&old).unwrap_err();
+            assert_eq!((err.kind, err.section), (want, "container"), "{tag}");
+            let path = write_temp(&old, tag);
+            let msg = load_model_path(&path).unwrap_err();
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
+            assert!(msg.contains("section \"container\""), "{msg}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]
     fn truncation_and_bit_flips_never_panic() {
         let (model, _) = tiny_indexed(15);
-        for bytes in [save_model(&model, true), save_model_v1(&model, true)] {
-            // Every strict prefix must fail cleanly.
-            for cut in 0..bytes.len() {
-                assert!(load_model(&bytes[..cut]).is_err());
-            }
-            // Every single-byte flip must load degraded, load clean, or
-            // error — never panic; whatever loads must serve searches.
-            let q = [0.25f32; 8];
-            for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= 0x80;
-                if let Ok(loaded) = load_model(&bad) {
-                    if loaded.model.index_health() != IndexHealth::Missing {
-                        let _ = loaded.model.search_embedded(&q, 3);
-                    }
+        let bytes = save_model(&model, true);
+        // Every strict prefix must fail cleanly.
+        for cut in 0..bytes.len() {
+            assert!(load_model(&bytes[..cut]).is_err());
+        }
+        // Every single-byte flip must load degraded, load clean, or error —
+        // never panic; whatever loads must serve searches.
+        let q = [0.25f32; 8];
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x80;
+            if let Ok(loaded) = load_model(&bad) {
+                if loaded.model.index_health() != IndexHealth::Missing {
+                    let _ = loaded.model.search_embedded(&q, 3);
                 }
             }
         }
@@ -1298,7 +1169,7 @@ mod tests {
                     // Damage the HNSW payload so both loads must degrade
                     // to the exact flat fallback, identically.
                     let payload = match &model.index {
-                        IndexState::Hnsw(i) => encode_hnsw_graph_v2(i),
+                        IndexState::Hnsw(i) => encode_hnsw_graph(i),
                         _ => unreachable!(),
                     };
                     let at = bytes
@@ -1345,28 +1216,6 @@ mod tests {
                 let _ = std::fs::remove_file(&path);
             }
         }
-    }
-
-    #[test]
-    fn v1_artifact_through_the_path_loader_falls_back_to_heap_with_one_warning() {
-        let (model, vectors) = tiny_indexed(24);
-        let bytes = save_model_v1(&model, true);
-        let path = write_temp(&bytes, "v1compat");
-        let loaded = load_model_path(&path).unwrap();
-        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
-        assert!(
-            loaded.warnings[0].contains("predates the aligned (v2) layout"),
-            "{:?}",
-            loaded.warnings
-        );
-        assert!(loaded.sections.is_empty());
-        let heap = load_model(&bytes).unwrap();
-        let q = &vectors[..8];
-        assert_eq!(
-            index_hits(&heap.model, q, 5, None),
-            index_hits(&loaded.model, q, 5, None)
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Drop the in-process validated cache so the next `load_model_path`
@@ -1419,7 +1268,7 @@ mod tests {
         // next start must run the full CRC sweep, catch the damage, and
         // refuse to persist a new stamp for the degraded artifact.
         let payload = match &model.index {
-            IndexState::Hnsw(i) => encode_hnsw_graph_v2(i),
+            IndexState::Hnsw(i) => encode_hnsw_graph(i),
             _ => unreachable!(),
         };
         let at = bytes
@@ -1486,5 +1335,37 @@ mod tests {
             index_hits(&second.model, q, 7, None)
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    /// The saved image of every index shape, pinned byte for byte: HNSW
+    /// over f32, HNSW + SQ8, and degraded (vectors + SQ8, no graph).
+    #[test]
+    fn saved_artifact_bytes_are_pinned() {
+        let plain = DeepJoin::synthetic(300, 16, 7);
+        let mut quantized = DeepJoin::synthetic(300, 16, 7);
+        assert!(quantized.quantize_sq8());
+        let mut degraded = DeepJoin::synthetic(300, 16, 7);
+        let flat = match &degraded.index {
+            IndexState::Hnsw(i) => {
+                FlatIndex::from_plane(16, i.config().metric, i.vectors_plane().clone())
+            }
+            _ => unreachable!("synthetic models carry a graph"),
+        };
+        degraded.index = IndexState::DegradedFlat {
+            index: flat,
+            reason: "pinned".into(),
+        };
+        assert!(degraded.quantize_sq8());
+        let got = [plain, quantized, degraded].map(|m| fnv1a(&save_model(&m, true)));
+        assert_eq!(
+            got,
+            [0x1fa2_483f_7bcf_508b, 0x34ca_db3b_3c78_b644, 0xcb8f_000c_2ca5_c9da]
+        );
     }
 }

@@ -225,6 +225,25 @@ fn sigkill_leaves_artifacts_readable_and_server_restartable() {
     run_dj(&["info", s(&model)]);
     run_dj(&["search", s(&lake), s(&model), "--k", "3"]);
 
+    // A file of the wrong kind is one located error line naming it: a lake
+    // where a model belongs, and the two swapped on `serve`.
+    for (args, named) in [
+        (vec!["info", s(&lake)], &lake),
+        (vec!["serve", s(&model), s(&lake), "--addr", "127.0.0.1:0"], &model),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dj"))
+            .args(&args)
+            .output()
+            .expect("spawn dj");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "dj {args:?} must fail");
+        assert_eq!(stderr.lines().count(), 1, "dj {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(s(named)),
+            "dj {args:?}: {stderr}"
+        );
+    }
+
     // ...and a fresh server starts over the same files.
     let (mut child2, addr2) = spawn_serve(&lake, &model, &["--threads", "1"]);
     let mut c2 = Client::connect(&addr2).expect("reconnect");

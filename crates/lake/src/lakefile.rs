@@ -5,13 +5,12 @@
 //! functions of their config, so persisting the config is lossless and
 //! tiny.
 //!
-//! The current format (`DJLAKE2`) is a `DJAR` container with a single
-//! checksummed `LAKE` section, so a torn copy or flipped bit is caught at
-//! load time instead of silently regenerating a different lake. The legacy
-//! whitespace-separated text format (`DJLAKE1`) is still read.
+//! The format (`DJLAKE2`) is a `DJAR` container with a single checksummed
+//! `LAKE` section, so a torn copy or flipped bit is caught at load time
+//! instead of silently regenerating a different lake.
 
 use deepjoin_store::codec::{DecodeErrorKind, Reader, Writer};
-use deepjoin_store::{is_container, Container, ContainerBuilder, DecodeError};
+use deepjoin_store::{Container, ContainerBuilder, DecodeError};
 
 use crate::corpus::{CorpusConfig, CorpusProfile};
 
@@ -20,32 +19,6 @@ pub const SECTION_LAKE: [u8; 4] = *b"LAKE";
 
 const LAKE_MAGIC: &[u8; 4] = b"DJL2";
 const LAKE_VERSION: u8 = 1;
-
-/// Why a lake file failed to load.
-#[derive(Debug)]
-pub enum LakeFileError {
-    /// The binary (`DJLAKE2`) payload is damaged or malformed.
-    Decode(DecodeError),
-    /// The legacy text (`DJLAKE1`) payload is malformed.
-    Legacy(String),
-}
-
-impl std::fmt::Display for LakeFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LakeFileError::Decode(e) => write!(f, "lake file: {e}"),
-            LakeFileError::Legacy(why) => write!(f, "lake file (legacy): {why}"),
-        }
-    }
-}
-
-impl std::error::Error for LakeFileError {}
-
-impl From<DecodeError> for LakeFileError {
-    fn from(e: DecodeError) -> Self {
-        LakeFileError::Decode(e)
-    }
-}
 
 fn profile_tag(p: CorpusProfile) -> u8 {
     match p {
@@ -76,34 +49,23 @@ pub fn encode(config: &CorpusConfig) -> Vec<u8> {
         .build()
 }
 
-/// Deserialize a lake file, accepting both `DJLAKE2` containers and legacy
-/// `DJLAKE1` text.
-pub fn decode(bytes: &[u8]) -> Result<CorpusConfig, LakeFileError> {
-    if is_container(bytes) {
-        decode_v2(bytes)
-    } else {
-        decode_v1(bytes)
-    }
-}
-
-fn decode_v2(bytes: &[u8]) -> Result<CorpusConfig, LakeFileError> {
+/// Deserialize a `DJLAKE2` lake file.
+pub fn decode(bytes: &[u8]) -> Result<CorpusConfig, DecodeError> {
     let container = Container::parse(bytes)?;
-    let payload = container
-        .section(SECTION_LAKE, "LAKE")
-        .ok_or_else(|| {
-            LakeFileError::Decode(DecodeError::new(
-                DecodeErrorKind::Invalid("lake container has no LAKE section"),
-                "container",
-                0,
-            ))
-        })??;
+    let payload = container.section(SECTION_LAKE, "LAKE").ok_or_else(|| {
+        DecodeError::new(
+            DecodeErrorKind::Invalid("lake container has no LAKE section"),
+            "container",
+            0,
+        )
+    })??;
     let mut r = Reader::new(payload, "LAKE");
     r.expect_magic(LAKE_MAGIC)?;
     r.expect_version(LAKE_VERSION)?;
     let profile = match r.u8()? {
         0 => CorpusProfile::Webtable,
         1 => CorpusProfile::Wikitable,
-        other => return Err(r.error(DecodeErrorKind::BadDiscriminant(other)).into()),
+        other => return Err(r.error(DecodeErrorKind::BadDiscriminant(other))),
     };
     Ok(CorpusConfig {
         profile,
@@ -120,37 +82,6 @@ fn decode_v2(bytes: &[u8]) -> Result<CorpusConfig, LakeFileError> {
     })
 }
 
-fn decode_v1(bytes: &[u8]) -> Result<CorpusConfig, LakeFileError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| LakeFileError::Legacy("not UTF-8".to_string()))?;
-    let parts: Vec<&str> = text.split_whitespace().collect();
-    if parts.len() != 12 || parts[0] != "DJLAKE1" {
-        return Err(LakeFileError::Legacy("not a dj lake file".to_string()));
-    }
-    let profile = match parts[1] {
-        "Webtable" => CorpusProfile::Webtable,
-        "Wikitable" => CorpusProfile::Wikitable,
-        other => return Err(LakeFileError::Legacy(format!("unknown profile {other}"))),
-    };
-    fn field<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, LakeFileError> {
-        s.parse()
-            .map_err(|_| LakeFileError::Legacy(format!("bad {name}: {s:?}")))
-    }
-    Ok(CorpusConfig {
-        profile,
-        num_tables: field(parts[2], "num_tables")?,
-        num_domains: field(parts[3], "num_domains")?,
-        entities_per_domain: field(parts[4], "entities_per_domain")?,
-        zipf_exponent: field(parts[5], "zipf_exponent")?,
-        focus_rate: field(parts[6], "focus_rate")?,
-        focus_width: field(parts[7], "focus_width")?,
-        windows_per_domain: field(parts[8], "windows_per_domain")?,
-        noise_rate: field(parts[9], "noise_rate")?,
-        strong_noise_rate: field(parts[10], "strong_noise_rate")?,
-        seed: field(parts[11], "seed")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,33 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_is_exact() {
+    fn roundtrip_is_exact() {
         let config = sample();
         let bytes = encode(&config);
         let back = decode(&bytes).unwrap();
         assert_eq!(format!("{config:?}"), format!("{back:?}"));
-    }
-
-    #[test]
-    fn legacy_text_still_loads() {
-        let c = sample();
-        let line = format!(
-            "DJLAKE1 {:?} {} {} {} {} {} {} {} {} {} {}\n",
-            c.profile,
-            c.num_tables,
-            c.num_domains,
-            c.entities_per_domain,
-            c.zipf_exponent,
-            c.focus_rate,
-            c.focus_width,
-            c.windows_per_domain,
-            c.noise_rate,
-            c.strong_noise_rate,
-            c.seed,
-        );
-        let back = decode(line.as_bytes()).unwrap();
-        assert_eq!(back.num_tables, c.num_tables);
-        assert_eq!(back.seed, c.seed);
     }
 
     #[test]
@@ -198,15 +107,13 @@ mod tests {
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x04;
-        match decode(&bad) {
-            Err(LakeFileError::Decode(e)) => assert!(e.is_checksum_mismatch()),
-            other => panic!("expected checksum failure, got {other:?}"),
-        }
+        assert!(decode(&bad).unwrap_err().is_checksum_mismatch());
         // Truncation at every offset: structured error, never a panic.
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err());
         }
-        // Garbage that is neither format.
-        assert!(decode(b"DJLAKE9 what").is_err());
+        // The retired one-line text format is not a container at all.
+        let text = b"DJLAKE1 Webtable 300 7 600 0.9 0.7 0.03 1 0.12 0.3 7\n";
+        assert_eq!(decode(text).unwrap_err().kind, DecodeErrorKind::BadMagic);
     }
 }

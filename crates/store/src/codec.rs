@@ -43,8 +43,8 @@ pub enum DecodeErrorKind {
 /// byte offset within it, the corruption was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
-    /// Logical section name (e.g. `"MODL"`, `"HNSW"`, or `"file"` for
-    /// un-sectioned legacy artifacts).
+    /// Logical section name (e.g. `"MODL"`, `"HNSW"`, or `"container"` for
+    /// the framing itself).
     pub section: &'static str,
     /// Byte offset within that section where decoding failed.
     pub offset: usize,
@@ -395,7 +395,7 @@ mod tests {
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes, "file");
         assert_eq!(
-            r.clone().expect_magic(b"DJM1").unwrap_err().kind,
+            r.clone().expect_magic(b"DJAR").unwrap_err().kind,
             DecodeErrorKind::BadMagic
         );
         r.expect_magic(b"DJXX").unwrap();

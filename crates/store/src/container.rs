@@ -1,18 +1,8 @@
 //! The framed artifact container (`DJAR`): named sections, each with
-//! byte-length framing and a CRC-32 over its payload.
+//! byte-length framing and a CRC-32 over its payload, every payload on an
+//! aligned file offset so it can be mapped zero-copy (DESIGN.md §8).
 //!
-//! Two wire versions share the magic (all integers little-endian):
-//!
-//! **v1 (compact)** — `ContainerBuilder::new()`:
-//!
-//! ```text
-//! "DJAR" | version=1 u8 | section_count u32 | directory_crc32 u32
-//! then per section:
-//!   name [u8;4] | payload_len u64 | crc32 u32 | payload bytes
-//! ```
-//!
-//! **v2 (aligned)** — `ContainerBuilder::aligned()`, the mmap-able layout
-//! (DESIGN.md §14):
+//! All integers little-endian:
 //!
 //! ```text
 //! "DJAR" | version=2 u8 | section_count u32 | directory_crc32 u32
@@ -21,7 +11,7 @@
 //!   | zero pad (pad_len bytes) | payload bytes
 //! ```
 //!
-//! In v2 each payload begins at a file offset that is a multiple of
+//! Each payload begins at a file offset that is a multiple of
 //! [`SECTION_ALIGN`] (64). `pad_len` is *derived*, not free: it must equal
 //! exactly the distance from the end of the frame header to the next
 //! 64-byte boundary, and [`Container::parse`] re-derives and checks it, so
@@ -30,9 +20,10 @@
 //! 64-byte-aligned file offset is a 64-byte-aligned address in a mapping —
 //! which is what lets `f32`/`u32` planes be reinterpreted in place with no
 //! decode pass ([`Container::section_range`] + `deepjoin_store::Mmap`).
+//! Any other version byte is rejected with `BadVersion`.
 //!
-//! `directory_crc32` covers the concatenated `(name, payload_len)` frame
-//! headers (plus `pad_len` in v2). Without it, a single flipped bit in a
+//! `directory_crc32` covers the concatenated `(name, payload_len, pad_len)`
+//! frame headers. Without it, a single flipped bit in a
 //! section *name* would make that section silently vanish — a loader could
 //! then mistake "the index section is damaged" for "this artifact was
 //! saved without an index" and degrade without ever reporting it. The
@@ -54,51 +45,26 @@ use crate::crc32::crc32;
 
 /// Container magic bytes.
 pub const CONTAINER_MAGIC: &[u8; 4] = b"DJAR";
-/// Compact container format version.
-pub const CONTAINER_VERSION: u8 = 1;
-/// Aligned (mmap-able) container format version.
-pub const CONTAINER_VERSION_ALIGNED: u8 = 2;
-/// Payload alignment guaranteed by the v2 layout, in bytes. 64 covers
+/// Container format version.
+pub const CONTAINER_VERSION: u8 = 2;
+/// Payload alignment guaranteed by the layout, in bytes. 64 covers
 /// every plane element type in the stack (f32, u32, u64) with headroom
 /// for cache-line-aligned SIMD loads.
 pub const SECTION_ALIGN: usize = 64;
 
-/// Fixed per-section frame overhead in v1: name + length + checksum.
-const FRAME_HEADER: usize = 4 + 8 + 4;
-/// v2 adds the `pad_len` field.
-const FRAME_HEADER_V2: usize = FRAME_HEADER + 4;
-
-/// True when `bytes` look like a framed container (magic sniff only).
-pub fn is_container(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == CONTAINER_MAGIC
-}
-
-/// True when `bytes` look like an *aligned* (v2) container — the layout
-/// whose sections can be mapped zero-copy. Sniff only; parse to be sure.
-pub fn is_aligned_container(bytes: &[u8]) -> bool {
-    bytes.len() >= 5 && &bytes[..4] == CONTAINER_MAGIC && bytes[4] == CONTAINER_VERSION_ALIGNED
-}
+/// Fixed per-section frame overhead: name + length + checksum + pad length.
+const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
 
 /// Builds a container by appending named sections.
 #[derive(Debug, Default)]
 pub struct ContainerBuilder {
     sections: Vec<([u8; 4], Vec<u8>)>,
-    aligned: bool,
 }
 
 impl ContainerBuilder {
-    /// Empty builder for the compact (v1) layout.
+    /// Empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty builder for the aligned (v2) layout: every payload starts on
-    /// a [`SECTION_ALIGN`]-byte file offset so it can be mapped zero-copy.
-    pub fn aligned() -> Self {
-        Self {
-            sections: Vec::new(),
-            aligned: true,
-        }
     }
 
     /// Append a section. Names are 4 ASCII bytes by convention (`b"MODL"`);
@@ -108,48 +74,24 @@ impl ContainerBuilder {
         self
     }
 
-    /// Serialize the container.
+    /// Serialize the container, every payload starting on a
+    /// [`SECTION_ALIGN`]-byte file offset.
     pub fn build(self) -> Vec<u8> {
-        if self.aligned {
-            return self.build_aligned();
-        }
-        let total: usize = self
-            .sections
-            .iter()
-            .map(|(_, p)| FRAME_HEADER + p.len())
-            .sum();
-        let mut w = Writer::with_capacity(4 + 1 + 4 + 4 + total);
-        w.put_slice(CONTAINER_MAGIC);
-        w.put_u8(CONTAINER_VERSION);
-        w.put_u32_le(self.sections.len() as u32);
-        w.put_u32_le(crc32(&directory_bytes(
-            self.sections.iter().map(|(n, p)| (*n, p.len())),
-        )));
-        for (name, payload) in &self.sections {
-            w.put_slice(name);
-            w.put_u64_le(payload.len() as u64);
-            w.put_u32_le(crc32(payload));
-            w.put_slice(payload);
-        }
-        w.into_vec()
-    }
-
-    fn build_aligned(self) -> Vec<u8> {
         // Lay frames out once to learn every pad, since the directory CRC
         // covers them.
         let mut offset = 4 + 1 + 4 + 4; // magic + version + count + dir crc
         let mut pads = Vec::with_capacity(self.sections.len());
         for (_, payload) in &self.sections {
-            let header_end = offset + FRAME_HEADER_V2;
+            let header_end = offset + FRAME_HEADER;
             let pad = pad_to(header_end, SECTION_ALIGN);
             pads.push(pad as u32);
             offset = header_end + pad + payload.len();
         }
         let mut w = Writer::with_capacity(offset);
         w.put_slice(CONTAINER_MAGIC);
-        w.put_u8(CONTAINER_VERSION_ALIGNED);
+        w.put_u8(CONTAINER_VERSION);
         w.put_u32_le(self.sections.len() as u32);
-        w.put_u32_le(crc32(&directory_bytes_v2(
+        w.put_u32_le(crc32(&directory_bytes(
             self.sections
                 .iter()
                 .zip(&pads)
@@ -173,19 +115,9 @@ fn pad_to(offset: usize, align: usize) -> usize {
     (align - offset % align) % align
 }
 
-/// The byte string the v1 directory CRC covers: every frame's name and
-/// payload length, in file order.
-fn directory_bytes(frames: impl Iterator<Item = ([u8; 4], usize)>) -> Vec<u8> {
-    let mut dir = Vec::new();
-    for (name, len) in frames {
-        dir.extend_from_slice(&name);
-        dir.extend_from_slice(&(len as u64).to_le_bytes());
-    }
-    dir
-}
-
-/// The v2 directory CRC additionally covers each frame's pad length.
-fn directory_bytes_v2(frames: impl Iterator<Item = ([u8; 4], usize, u32)>) -> Vec<u8> {
+/// The byte string the directory CRC covers: every frame's name, payload
+/// length and pad length, in file order.
+fn directory_bytes(frames: impl Iterator<Item = ([u8; 4], usize, u32)>) -> Vec<u8> {
     let mut dir = Vec::new();
     for (name, len, pad) in frames {
         dir.extend_from_slice(&name);
@@ -222,53 +154,36 @@ pub struct SectionRange {
 pub struct Container<'a> {
     bytes: &'a [u8],
     frames: Vec<Frame>,
-    version: u8,
 }
 
 impl<'a> Container<'a> {
-    /// Parse the framing of a v1 or v2 container. Fails (with
-    /// section/offset context) if the magic, version, or any frame header
-    /// is damaged, if a frame claims more bytes than the file holds — the
-    /// signature of a torn write — or, in v2, if a pad length disagrees
-    /// with the alignment rule.
+    /// Parse a container's framing. Fails (with section/offset context) if
+    /// the magic, version, or any frame header is damaged, if a frame
+    /// claims more bytes than the file holds — the signature of a torn
+    /// write — or if a pad length disagrees with the alignment rule.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes, "container");
         r.expect_magic(CONTAINER_MAGIC)?;
-        let version = r.u8()?;
-        if version != CONTAINER_VERSION && version != CONTAINER_VERSION_ALIGNED {
-            return Err(DecodeError::new(
-                DecodeErrorKind::BadVersion(version),
-                "container",
-                4,
-            ));
-        }
-        let aligned = version == CONTAINER_VERSION_ALIGNED;
-        let header = if aligned { FRAME_HEADER_V2 } else { FRAME_HEADER };
-        let n = r.count_u32(header)?;
+        r.expect_version(CONTAINER_VERSION)?;
+        let n = r.count_u32(FRAME_HEADER)?;
         let stored_dir_crc = r.u32_le()?;
         let mut frames = Vec::with_capacity(n);
         for _ in 0..n {
             let name: [u8; 4] = r.bytes(4)?.try_into().unwrap();
             let len = r.count(1)?;
             let stored_crc = r.u32_le()?;
-            let pad = if aligned {
-                let at = r.offset();
-                let pad = r.u32_le()?;
-                // pad is fully determined by the header-end offset; any
-                // other value is corruption, not a layout choice.
-                let want = pad_to(r.offset(), SECTION_ALIGN);
-                if pad as usize != want {
-                    return Err(DecodeError::new(
-                        DecodeErrorKind::Invalid("section pad disagrees with alignment rule"),
-                        "container",
-                        at,
-                    ));
-                }
-                r.bytes(pad as usize)?;
-                pad
-            } else {
-                0
-            };
+            let at = r.offset();
+            let pad = r.u32_le()?;
+            // pad is fully determined by the header-end offset; any other
+            // value is corruption, not a layout choice.
+            if pad as usize != pad_to(r.offset(), SECTION_ALIGN) {
+                return Err(DecodeError::new(
+                    DecodeErrorKind::Invalid("section pad disagrees with alignment rule"),
+                    "container",
+                    at,
+                ));
+            }
+            r.bytes(pad as usize)?;
             let start = r.offset();
             r.bytes(len)?;
             frames.push(Frame {
@@ -279,13 +194,9 @@ impl<'a> Container<'a> {
                 pad,
             });
         }
-        let computed = if aligned {
-            crc32(&directory_bytes_v2(
-                frames.iter().map(|f| (f.name, f.len, f.pad)),
-            ))
-        } else {
-            crc32(&directory_bytes(frames.iter().map(|f| (f.name, f.len))))
-        };
+        let computed = crc32(&directory_bytes(
+            frames.iter().map(|f| (f.name, f.len, f.pad)),
+        ));
         if computed != stored_dir_crc {
             return Err(DecodeError::new(
                 DecodeErrorKind::ChecksumMismatch {
@@ -296,22 +207,7 @@ impl<'a> Container<'a> {
                 5,
             ));
         }
-        Ok(Self {
-            bytes,
-            frames,
-            version,
-        })
-    }
-
-    /// Container format version (1 compact, 2 aligned).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// True for the aligned (v2) layout whose payloads start on
-    /// [`SECTION_ALIGN`]-byte file offsets.
-    pub fn is_aligned(&self) -> bool {
-        self.version == CONTAINER_VERSION_ALIGNED
+        Ok(Self { bytes, frames })
     }
 
     /// Names of all sections, in file order.
@@ -356,8 +252,8 @@ impl<'a> Container<'a> {
     /// Like [`Container::section`], but returning the payload's byte
     /// *range* within the container instead of the slice — the zero-copy
     /// entry point: validate once against the parsed bytes, then carve the
-    /// same range out of an `Arc<Mmap>` of the whole file. In the aligned
-    /// layout the returned `offset` is a multiple of [`SECTION_ALIGN`].
+    /// same range out of an `Arc<Mmap>` of the whole file. The returned
+    /// `offset` is a multiple of [`SECTION_ALIGN`].
     pub fn section_range(
         &self,
         name: [u8; 4],
@@ -398,20 +294,10 @@ mod tests {
             .build()
     }
 
-    fn sample_aligned() -> Vec<u8> {
-        ContainerBuilder::aligned()
-            .section(*b"MODL", vec![1, 2, 3, 4, 5])
-            .section(*b"HNSW", vec![9; 100])
-            .build()
-    }
-
     #[test]
     fn roundtrip_sections() {
         let bytes = sample();
-        assert!(is_container(&bytes));
-        assert!(!is_aligned_container(&bytes));
         let c = Container::parse(&bytes).unwrap();
-        assert_eq!(c.version(), CONTAINER_VERSION);
         assert_eq!(c.section_names(), vec![*b"MODL", *b"HNSW"]);
         assert_eq!(
             c.section_sizes(),
@@ -420,18 +306,6 @@ mod tests {
         assert_eq!(c.section(*b"MODL", "MODL").unwrap().unwrap(), &[1, 2, 3, 4, 5]);
         assert_eq!(c.section(*b"HNSW", "HNSW").unwrap().unwrap(), &[9u8; 100][..]);
         assert!(c.section(*b"VECS", "VECS").is_none());
-    }
-
-    #[test]
-    fn aligned_roundtrip_places_every_payload_on_the_alignment() {
-        let bytes = sample_aligned();
-        assert!(is_container(&bytes));
-        assert!(is_aligned_container(&bytes));
-        let c = Container::parse(&bytes).unwrap();
-        assert!(c.is_aligned());
-        assert_eq!(c.section_names(), vec![*b"MODL", *b"HNSW"]);
-        assert_eq!(c.section(*b"MODL", "MODL").unwrap().unwrap(), &[1, 2, 3, 4, 5]);
-        assert_eq!(c.section(*b"HNSW", "HNSW").unwrap().unwrap(), &[9u8; 100][..]);
         for name in [*b"MODL", *b"HNSW"] {
             let range = c.section_range(name, "sect").unwrap().unwrap();
             assert_eq!(range.offset % SECTION_ALIGN, 0, "{name:?} misaligned");
@@ -442,7 +316,7 @@ mod tests {
     fn aligned_layout_holds_for_many_payload_sizes() {
         // Alignment must survive arbitrary predecessor payload lengths.
         for sizes in [[0usize, 1], [1, 63], [63, 64], [64, 65], [100, 7], [4096, 1]] {
-            let bytes = ContainerBuilder::aligned()
+            let bytes = ContainerBuilder::new()
                 .section(*b"AAAA", vec![0xAA; sizes[0]])
                 .section(*b"BBBB", vec![0xBB; sizes[1]])
                 .build();
@@ -464,41 +338,38 @@ mod tests {
 
     #[test]
     fn section_range_matches_section_bytes() {
-        for bytes in [sample(), sample_aligned()] {
-            let c = Container::parse(&bytes).unwrap();
-            let r = c.section_range(*b"HNSW", "HNSW").unwrap().unwrap();
-            assert_eq!(
-                &bytes[r.offset..r.offset + r.len],
-                c.section(*b"HNSW", "HNSW").unwrap().unwrap()
-            );
-        }
+        let bytes = sample();
+        let c = Container::parse(&bytes).unwrap();
+        let r = c.section_range(*b"HNSW", "HNSW").unwrap().unwrap();
+        assert_eq!(
+            &bytes[r.offset..r.offset + r.len],
+            c.section(*b"HNSW", "HNSW").unwrap().unwrap()
+        );
     }
 
     #[test]
     fn truncation_at_every_offset_never_panics() {
-        for bytes in [sample(), sample_aligned()] {
-            for cut in 0..bytes.len() {
-                let res = Container::parse(&bytes[..cut]);
-                assert!(res.is_err(), "prefix of {cut} bytes must not parse");
-            }
-            assert!(Container::parse(&bytes).is_ok());
+        let bytes = sample();
+        for cut in 0..bytes.len() {
+            let res = Container::parse(&bytes[..cut]);
+            assert!(res.is_err(), "prefix of {cut} bytes must not parse");
         }
+        assert!(Container::parse(&bytes).is_ok());
     }
 
     #[test]
     fn bit_flip_in_payload_is_a_checksum_mismatch() {
-        for mut bytes in [sample(), sample_aligned()] {
-            let last = bytes.len() - 1; // inside the HNSW payload
-            bytes[last] ^= 0x40;
-            let c = Container::parse(&bytes).unwrap();
-            // MODL untouched, HNSW corrupt.
-            assert!(c.section(*b"MODL", "MODL").unwrap().is_ok());
-            let err = c.section(*b"HNSW", "HNSW").unwrap().unwrap_err();
-            assert!(err.is_checksum_mismatch());
-            assert_eq!(err.section, "HNSW");
-            // The range accessor reports the same verdict.
-            assert!(c.section_range(*b"HNSW", "HNSW").unwrap().is_err());
-        }
+        let mut bytes = sample();
+        let last = bytes.len() - 1; // inside the HNSW payload
+        bytes[last] ^= 0x40;
+        let c = Container::parse(&bytes).unwrap();
+        // MODL untouched, HNSW corrupt.
+        assert!(c.section(*b"MODL", "MODL").unwrap().is_ok());
+        let err = c.section(*b"HNSW", "HNSW").unwrap().unwrap_err();
+        assert!(err.is_checksum_mismatch());
+        assert_eq!(err.section, "HNSW");
+        // The range accessor reports the same verdict.
+        assert!(c.section_range(*b"HNSW", "HNSW").unwrap().is_err());
     }
 
     #[test]
@@ -514,22 +385,21 @@ mod tests {
 
     #[test]
     fn bit_flip_in_a_section_name_fails_the_directory_check() {
-        for mut bytes in [sample(), sample_aligned()] {
-            // First frame's name: magic + ver + count + dir crc.
-            let name_at = 4 + 1 + 4 + 4;
-            assert_eq!(&bytes[name_at..name_at + 4], b"MODL");
-            bytes[name_at] ^= 0x01;
-            // Without the directory CRC this would parse fine and `MODL`
-            // would just be "absent" — indistinguishable from a real save.
-            let err = Container::parse(&bytes).unwrap_err();
-            assert!(err.is_checksum_mismatch());
-            assert_eq!(err.section, "container");
-        }
+        let mut bytes = sample();
+        // First frame's name: magic + ver + count + dir crc.
+        let name_at = 4 + 1 + 4 + 4;
+        assert_eq!(&bytes[name_at..name_at + 4], b"MODL");
+        bytes[name_at] ^= 0x01;
+        // Without the directory CRC this would parse fine and `MODL`
+        // would just be "absent" — indistinguishable from a real save.
+        let err = Container::parse(&bytes).unwrap_err();
+        assert!(err.is_checksum_mismatch());
+        assert_eq!(err.section, "container");
     }
 
     #[test]
     fn corrupt_pad_length_is_structural_corruption() {
-        let mut bytes = sample_aligned();
+        let mut bytes = sample();
         // First frame's pad field: magic + ver + count + dir crc + name
         // + len + crc.
         let pad_at = 4 + 1 + 4 + 4 + 4 + 8 + 4;
@@ -542,20 +412,21 @@ mod tests {
 
     #[test]
     fn unknown_container_version_is_rejected() {
-        let mut bytes = sample();
-        bytes[4] = 9;
-        let err = Container::parse(&bytes).unwrap_err();
-        assert_eq!(err.kind, DecodeErrorKind::BadVersion(9));
+        // Version 1 is the unpadded layout, which is not read: it must fail
+        // at the version byte, never be misparsed as padded frames.
+        for version in [1u8, 9] {
+            let mut bytes = sample();
+            bytes[4] = version;
+            let err = Container::parse(&bytes).unwrap_err();
+            assert_eq!(err.kind, DecodeErrorKind::BadVersion(version));
+            assert_eq!((err.section, err.offset), ("container", 4));
+        }
     }
 
     #[test]
     fn empty_container_is_valid() {
-        for bytes in [
-            ContainerBuilder::new().build(),
-            ContainerBuilder::aligned().build(),
-        ] {
-            let c = Container::parse(&bytes).unwrap();
-            assert!(c.section_names().is_empty());
-        }
+        let bytes = ContainerBuilder::new().build();
+        let c = Container::parse(&bytes).unwrap();
+        assert!(c.section_names().is_empty());
     }
 }

@@ -9,14 +9,15 @@
 //! * [`codec`] — the little-endian binary codec every payload uses, with a
 //!   [`codec::Reader`] that attributes each failure to a section and byte
 //!   offset, and validates length prefixes before allocating;
-//! * [`container`] — the framed `DJAR` container: named sections with
-//!   byte-length framing and per-section CRC-32, so loaders can tell *which
-//!   part* of an artifact is damaged and degrade instead of refusing;
+//! * [`container`] — the framed `DJAR` container: named, 64-byte-aligned
+//!   sections with byte-length framing and per-section CRC-32, so loaders
+//!   can tell *which part* of an artifact is damaged and degrade instead of
+//!   refusing;
 //! * [`crc32`] — the checksum (IEEE 802.3);
 //! * [`io`] — [`io::ArtifactIo`] and the crash-safe [`io::StdIo`]
 //!   (temp file + fsync + atomic rename);
 //! * [`mmap`] — read-only `mmap(2)` of artifact files (raw `extern "C"`,
-//!   no libc crate): the zero-copy backing for v2 aligned sections;
+//!   no libc crate): the zero-copy backing for container sections;
 //! * [`faults`] — injection of torn writes, read truncation, bit flips,
 //!   ENOSPC, and deterministic crash (kill) points, so every load and
 //!   recovery path can be proven panic-free under corruption;
@@ -34,9 +35,7 @@ pub mod mmap;
 pub mod wal;
 
 pub use codec::{DecodeError, DecodeErrorKind, Reader, Writer};
-pub use container::{
-    is_aligned_container, is_container, Container, ContainerBuilder, SectionRange, SECTION_ALIGN,
-};
+pub use container::{Container, ContainerBuilder, SectionRange, SECTION_ALIGN};
 pub use crc32::crc32;
 pub use mmap::Mmap;
 pub use faults::{Fault, FaultyIo, KillPointIo, MemIo};

@@ -1,13 +1,13 @@
 //! Read-only memory mapping of artifact files — the zero-copy backing for
-//! DJAR v2 sections (DESIGN.md §14).
+//! DJAR container sections (DESIGN.md §8).
 //!
 //! [`Mmap::open`] maps a whole file `PROT_READ`/`MAP_PRIVATE` via raw
 //! `mmap(2)` through `extern "C"` declarations — the same zero-dependency
 //! route the serve crate takes for `signal(2)`; no libc crate. The mapping
 //! base is page-aligned (4096 on every supported platform), so any payload
 //! placed at a 64-byte-aligned *file* offset is 64-byte-aligned in
-//! *memory* — the property the v2 aligned container layout exists to
-//! provide, and what lets `f32`/`u32` planes be reinterpreted in place.
+//! *memory* — the property the container layout exists to provide, and
+//! what lets `f32`/`u32` planes be reinterpreted in place.
 //!
 //! The pages are demand-paged from the kernel page cache: opening a 100 GB
 //! artifact costs a metadata syscall, not a read, and N serving processes
@@ -212,13 +212,13 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    // --- fault paths for mapped v2 containers (DESIGN.md §14) ---
+    // --- fault paths for mapped containers (DESIGN.md §8) ---
 
     fn aligned_artifact() -> Vec<u8> {
         use crate::container::ContainerBuilder;
         let a: Vec<u8> = (0..300u32).flat_map(|i| i.to_le_bytes()).collect();
         let b: Vec<u8> = (0..150u32).map(|i| (i % 256) as u8).collect();
-        ContainerBuilder::aligned()
+        ContainerBuilder::new()
             .section(*b"VECS", a)
             .section(*b"HNSW", b)
             .build()
@@ -285,21 +285,6 @@ mod tests {
         // The undamaged trailing section still reads.
         assert!(c.section(*b"HNSW", "HNSW").unwrap().is_ok());
         drop((held, fresh));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn compact_v1_containers_are_not_mistaken_for_mappable_v2() {
-        use crate::container::{is_aligned_container, ContainerBuilder};
-        let v1 = ContainerBuilder::new().section(*b"VECS", vec![1, 2, 3]).build();
-        let path = temp_path("v1gate");
-        std::fs::write(&path, &v1).unwrap();
-        let map = Mmap::open(&path).unwrap();
-        // The v2 reader's gate: a legacy artifact maps fine but is routed
-        // to the heap decode path, never reinterpreted in place.
-        assert!(!is_aligned_container(&map));
-        assert!(is_aligned_container(&aligned_artifact()));
-        drop(map);
         std::fs::remove_file(&path).unwrap();
     }
 }
