@@ -931,8 +931,6 @@ fn cmd_ctl(args: &[String]) -> CliResult {
                         r.last_sync_bytes
                     );
                 }
-                println!("hedges fired    : {}", r.hedges_fired);
-                println!("hedges won      : {}", r.hedges_won);
                 println!("stale           : {}", r.stale);
             }
             if let Some(o) = &s.overload {

@@ -1,7 +1,7 @@
 //! A deficit-weighted fair admission queue for multi-tenant load shedding.
 //!
-//! [`crate::Bounded`] sheds blindly: one flooding producer fills the queue
-//! and everyone else's pushes bounce. [`FairQueue`] keeps one FIFO lane per
+//! A plain bounded queue sheds blindly: one flooding producer fills it and
+//! everyone else's pushes bounce. [`FairQueue`] keeps one FIFO lane per
 //! tenant and serves lanes by deficit round-robin — each occupied lane gets
 //! `weight` pops per rotation — so a tenant sending 100× the traffic still
 //! only gets its fair share of worker time, and the shedding falls on the
@@ -16,7 +16,7 @@
 //!
 //! Every item carries its enqueue [`Instant`]; `pop` returns it so
 //! consumers can measure queue sojourn (the signal a CoDel-style controller
-//! needs). The close/drain contract matches [`crate::Bounded`]: after
+//! needs). Closing is how graceful drain works: after
 //! [`FairQueue::close`] no new item is admitted, `pop` drains the backlog,
 //! and consumers see `None` only once the queue is closed **and** empty.
 

@@ -28,10 +28,8 @@
 #![warn(missing_docs)]
 
 pub mod fair;
-pub mod queue;
 
 pub use fair::{FairPush, FairPushError, FairQueue};
-pub use queue::{Bounded, TryPushError};
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

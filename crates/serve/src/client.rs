@@ -8,12 +8,12 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    self, BatchQuery, ErrorCode, FrameError, FrameReader, QueryReply, Request, Response,
-    StatsReply, WireError, MAX_FRAME,
+    self, ErrorCode, FrameError, FrameReader, QueryReply, Request, Response, StatsReply, WireError,
+    MAX_FRAME,
 };
 use crate::wake;
 
-/// One query in a pipelined or batched call — the borrowed form of the
+/// One query in a pipelined call — the borrowed form of the
 /// [`Request::Query`] fields.
 #[derive(Debug, Clone, Copy)]
 pub struct QuerySpec<'a> {
@@ -25,82 +25,54 @@ pub struct QuerySpec<'a> {
     pub k: u32,
 }
 
-/// Per-query outcome of a pipelined or batched call: the reply, or the
+/// Per-query outcome of a pipelined call: the reply, or the
 /// structured error that shed this one query (the rest of the window is
 /// unaffected).
 pub type QueryResult = Result<QueryReply, WireError>;
 
-/// Client-side correlation state for pipelined windows: which request ids
-/// are in flight (in send order, for the in-order fallback) and where each
-/// answer lands. Rejects duplicate ids and surfaces orphan ids as
+/// Client-side correlation state for a pipelined window: request id `i`
+/// is input position `i`, so an answer lands in its slot directly. Rejects
+/// duplicate and orphan ids — and any uncorrelated response — as
 /// structured protocol errors instead of mis-filing answers.
 struct Correlator {
     results: Vec<Option<QueryResult>>,
-    /// Ids awaiting an answer, in send order.
-    inflight: Vec<u64>,
-    /// Whether a plain (uncorrelated) `Query`/`Error` response may be
-    /// matched to the oldest in-flight id. True for pipelined tagged
-    /// queries — an old server ignores the id tail and answers in order —
-    /// and false for batch frames, which old servers reject whole.
-    inorder_fallback: bool,
+    /// Ids `0..sent` have been sent.
+    sent: usize,
+    answered: usize,
 }
 
 impl Correlator {
-    fn new(n: usize, inorder_fallback: bool) -> Self {
+    fn new(n: usize) -> Self {
         Correlator {
             results: (0..n).map(|_| None).collect(),
-            inflight: Vec::new(),
-            inorder_fallback,
+            sent: 0,
+            answered: 0,
         }
     }
 
-    fn note_sent(&mut self, id: u64) {
-        self.inflight.push(id);
-    }
-
     fn outstanding(&self) -> usize {
-        self.inflight.len()
+        self.sent - self.answered
     }
 
-    /// File one response. A correlated answer may arrive in any order; a
-    /// plain answer (old server) must arrive in send order.
+    /// File one response; correlated answers may arrive in any order.
     fn absorb(&mut self, resp: Response) -> Result<(), ClientError> {
         match resp {
             Response::QueryFor { request_id, reply } => {
-                match self.inflight.iter().position(|&id| id == request_id) {
-                    Some(pos) => {
-                        self.inflight.remove(pos);
-                        self.results[request_id as usize] = Some(reply);
-                        Ok(())
+                let slot = match usize::try_from(request_id) {
+                    Ok(slot) if slot < self.sent => &mut self.results[slot],
+                    _ => {
+                        return Err(ClientError::Protocol(format!(
+                            "response for unknown request id {request_id}"
+                        )))
                     }
-                    None => {
-                        let slot = request_id as usize;
-                        let msg = if slot < self.results.len() && self.results[slot].is_some() {
-                            format!("duplicate response for request id {request_id}")
-                        } else {
-                            format!("response for unknown request id {request_id}")
-                        };
-                        Err(ClientError::Protocol(msg))
-                    }
+                };
+                if slot.is_some() {
+                    return Err(ClientError::Protocol(format!(
+                        "duplicate response for request id {request_id}"
+                    )));
                 }
-            }
-            Response::Query(reply) if self.inorder_fallback => {
-                // An old server ignored the id tails and answers untagged,
-                // strictly in order: file against the oldest in flight.
-                if self.inflight.is_empty() {
-                    return Err(ClientError::Protocol(
-                        "unsolicited query response".to_string(),
-                    ));
-                }
-                let id = self.inflight.remove(0);
-                self.results[id as usize] = Some(Ok(reply));
-                Ok(())
-            }
-            Response::Error(e) if self.inorder_fallback && !self.inflight.is_empty() => {
-                // Old servers shed individual queries with a plain error,
-                // still in order.
-                let id = self.inflight.remove(0);
-                self.results[id as usize] = Some(Err(e));
+                *slot = Some(reply);
+                self.answered += 1;
                 Ok(())
             }
             Response::Error(e) => Err(ClientError::Server(e)),
@@ -165,6 +137,27 @@ impl RetryPolicy {
         x ^= x << 17;
         let jitter_num = x % 51; // 0..=50 percent
         capped + capped.mul_f64(jitter_num as f64 / 100.0)
+    }
+
+    /// The one backoff loop: run `attempt` up to `max_attempts` times (at
+    /// least once), sleeping [`RetryPolicy::delay`] before each retry. An
+    /// error `retryable` accepts is retried; any other error — and the
+    /// last one once the attempts run out — is returned as-is.
+    pub(crate) fn run<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, ClientError>,
+        retryable: impl Fn(&ClientError) -> bool,
+    ) -> Result<T, ClientError> {
+        let mut retry = 0;
+        loop {
+            match attempt() {
+                Err(e) if retryable(&e) && retry + 1 < self.max_attempts => {
+                    std::thread::sleep(self.delay(retry));
+                    retry += 1;
+                }
+                outcome => return outcome,
+            }
+        }
     }
 
     fn transient_connect(e: &ClientError) -> bool {
@@ -306,19 +299,10 @@ impl Client {
         timeout: Duration,
         policy: &RetryPolicy,
     ) -> Result<Self, ClientError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut last = None;
-        for retry in 0..attempts {
-            if retry > 0 {
-                std::thread::sleep(policy.delay(retry - 1));
-            }
-            match Self::connect_with_timeout(&addr, timeout) {
-                Ok(c) => return Ok(c),
-                Err(e) if RetryPolicy::transient_connect(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt"))
+        policy.run(
+            || Self::connect_with_timeout(&addr, timeout),
+            RetryPolicy::transient_connect,
+        )
     }
 
     /// Send one request, read one response. The whole response must
@@ -363,73 +347,32 @@ impl Client {
 
     /// Send `queries` pipelined on this connection, keeping up to `depth`
     /// requests in flight, and return one result per query in input
-    /// order. Each request carries a correlation id, so a new server may
+    /// order. Each request carries a correlation id, so the server may
     /// answer out of order (a whole worker wave lands in one coalesced
-    /// burst); an old server ignores the id tails and answers in order,
-    /// which the correlation logic accepts transparently — pipelining
-    /// degrades to a send window, never to a wrong answer. Duplicate and
-    /// orphan ids from a confused server surface as
-    /// [`ClientError::Protocol`].
+    /// burst). Duplicate and orphan ids, and uncorrelated answers, from a
+    /// confused server surface as [`ClientError::Protocol`].
     pub fn query_pipelined(
         &mut self,
         queries: &[QuerySpec<'_>],
         depth: usize,
     ) -> Result<Vec<QueryResult>, ClientError> {
         let depth = depth.max(1);
-        let mut corr = Correlator::new(queries.len(), true);
-        let mut next = 0usize;
-        while next < queries.len() || corr.outstanding() > 0 {
+        let mut corr = Correlator::new(queries.len());
+        while corr.sent < queries.len() || corr.outstanding() > 0 {
             // Fill the window.
-            while next < queries.len() && corr.outstanding() < depth {
-                let q = &queries[next];
+            while corr.sent < queries.len() && corr.outstanding() < depth {
+                let q = &queries[corr.sent];
                 let req = Request::Query {
                     name: q.name.to_string(),
                     cells: q.cells.to_vec(),
                     k: q.k,
                     tenant: self.tenant.clone(),
-                    request_id: Some(next as u64),
+                    request_id: Some(corr.sent as u64),
                 };
                 protocol::write_frame(&mut self.stream, &req.encode())?;
-                corr.note_sent(next as u64);
-                next += 1;
+                corr.sent += 1;
             }
             // Drain one answer (whichever request it belongs to).
-            corr.absorb(self.read_response()?)?;
-        }
-        corr.finish()
-    }
-
-    /// Send `queries` as one [`Request::QueryBatch`] frame and collect the
-    /// correlated answers, returned in input order. Old servers reject the
-    /// unknown frame tag with `BadRequest` (surfaced as
-    /// [`ClientError::Server`]) — use [`Client::query_pipelined`] when the
-    /// peer version is unknown, or fall back to it on that error.
-    pub fn query_batch(
-        &mut self,
-        queries: &[QuerySpec<'_>],
-    ) -> Result<Vec<QueryResult>, ClientError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let req = Request::QueryBatch {
-            queries: queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| BatchQuery {
-                    request_id: i as u64,
-                    name: q.name.to_string(),
-                    cells: q.cells.to_vec(),
-                    k: q.k,
-                    tenant: self.tenant.clone(),
-                })
-                .collect(),
-        };
-        protocol::write_frame(&mut self.stream, &req.encode())?;
-        let mut corr = Correlator::new(queries.len(), false);
-        for i in 0..queries.len() {
-            corr.note_sent(i as u64);
-        }
-        while corr.outstanding() > 0 {
             corr.absorb(self.read_response()?)?;
         }
         corr.finish()
@@ -475,37 +418,24 @@ impl Client {
         k: u32,
         policy: &RetryPolicy,
     ) -> Result<QueryReply, ClientError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut last = None;
         let mut dead_connection = false;
-        for retry in 0..attempts {
-            if retry > 0 {
-                std::thread::sleep(policy.delay(retry - 1));
-            }
-            if dead_connection {
-                match self.reconnect() {
-                    Ok(()) => dead_connection = false,
-                    Err(e) if RetryPolicy::transient_transport(&e) => {
-                        // Still restarting; burn this attempt and back off.
-                        last = Some(e);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
+        policy.run(
+            || {
+                if dead_connection {
+                    // A failed reconnect (still restarting) burns this
+                    // attempt; the classifier decides whether to back off.
+                    self.reconnect()?;
+                    dead_connection = false;
                 }
-            }
-            match self.query(name, cells, k) {
-                Ok(reply) => return Ok(reply),
-                Err(ClientError::Server(e)) if e.code == ErrorCode::Overloaded => {
-                    last = Some(ClientError::Server(e));
-                }
-                Err(e) if RetryPolicy::transient_transport(&e) => {
-                    last = Some(e);
-                    dead_connection = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt"))
+                let outcome = self.query(name, cells, k);
+                dead_connection = matches!(&outcome, Err(e) if RetryPolicy::transient_transport(e));
+                outcome
+            },
+            |e| match e {
+                ClientError::Server(e) => e.code == ErrorCode::Overloaded,
+                e => RetryPolicy::transient_transport(e),
+            },
+        )
     }
 
     /// Ingest a new table into a live server. Returns `(seq, applied)` of

@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 
 use crate::client::{Client, ClientError, QueryResult, QuerySpec, RetryPolicy};
 use crate::protocol::{ErrorCode, QueryReply, StatsReply};
-use crate::replica::ReplicationState;
 
 /// Tuning for a [`MultiClient`].
 #[derive(Debug, Clone)]
@@ -151,9 +150,6 @@ struct ClusterInner {
     latencies: Mutex<LatencyRing>,
     hedges_fired: AtomicU64,
     hedges_won: AtomicU64,
-    /// Optional server-side gauge sink, so an embedding process surfaces
-    /// its hedge fire rate through `dj ctl stats`.
-    replication: Mutex<Option<Arc<ReplicationState>>>,
 }
 
 impl ClusterInner {
@@ -239,20 +235,6 @@ impl ClusterInner {
         let mut client = Client::connect_with_timeout(addr, self.cfg.read_timeout)?;
         client.query(name, cells, k)
     }
-
-    fn note_hedge_fired(&self) {
-        self.hedges_fired.fetch_add(1, Ordering::Relaxed);
-        if let Some(rep) = self.replication.lock().expect("replication sink").as_ref() {
-            rep.note_hedge_fired();
-        }
-    }
-
-    fn note_hedge_won(&self) {
-        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-        if let Some(rep) = self.replication.lock().expect("replication sink").as_ref() {
-            rep.note_hedge_won();
-        }
-    }
 }
 
 /// The answer to a routed query: the reply plus where it came from.
@@ -292,26 +274,27 @@ impl MultiClient {
             latencies: Mutex::new(LatencyRing::new()),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
-            replication: Mutex::new(None),
         });
         inner.probe_round();
         let stop = Arc::new(AtomicBool::new(false));
         let prober = {
             let inner = inner.clone();
             let stop = stop.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let mut remaining = inner.cfg.probe_interval;
-                    while !remaining.is_zero() && !stop.load(Ordering::Relaxed) {
-                        let slice = remaining.min(Duration::from_millis(50));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
+            std::thread::spawn(move || loop {
+                // Parked, not polling: `Drop` unparks this thread, so
+                // dropping the client never waits out a probe interval.
+                let deadline = Instant::now() + inner.cfg.probe_interval;
+                loop {
+                    if stop.load(Ordering::SeqCst) {
+                        return;
                     }
-                    if stop.load(Ordering::Relaxed) {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         break;
                     }
-                    inner.probe_round();
+                    std::thread::park_timeout(left);
                 }
+                inner.probe_round();
             })
         };
         Ok(MultiClient {
@@ -319,12 +302,6 @@ impl MultiClient {
             stop,
             prober: Some(prober),
         })
-    }
-
-    /// Mirror hedge counters into a server's [`ReplicationState`] so they
-    /// surface through that server's `stats`.
-    pub fn wire_replication_state(&self, state: Arc<ReplicationState>) {
-        *self.inner.replication.lock().expect("replication sink") = Some(state);
     }
 
     /// `(hedges fired, hedges won)` since this client was built.
@@ -349,24 +326,10 @@ impl MultiClient {
         cells: &[String],
         k: u32,
     ) -> Result<RoutedReply, ClientError> {
-        let policy = self.inner.cfg.retry.clone();
-        let attempts = policy.max_attempts.max(1);
-        let mut last: Option<ClientError> = None;
-        for retry in 0..attempts {
-            if retry > 0 {
-                std::thread::sleep(policy.delay(retry - 1));
-            }
-            match self.routed_attempt(name, cells, k) {
-                Ok(routed) => return Ok(routed),
-                // Overloaded sheds and transport failures clear on their
-                // own (backlog drains, endpoint restarts, probe marks a
-                // peer healthy again) — those retry. Anything structured
-                // (bad request, protocol violation) does not.
-                Err(e) if retryable(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt"))
+        self.inner
+            .cfg
+            .retry
+            .run(|| self.routed_attempt(name, cells, k), retryable)
     }
 
     /// Route a whole set of queries down **one pipelined connection** to
@@ -388,20 +351,10 @@ impl MultiClient {
         if queries.is_empty() {
             return Ok((Vec::new(), String::new()));
         }
-        let policy = self.inner.cfg.retry.clone();
-        let attempts = policy.max_attempts.max(1);
-        let mut last: Option<ClientError> = None;
-        for retry in 0..attempts {
-            if retry > 0 {
-                std::thread::sleep(policy.delay(retry - 1));
-            }
-            match self.routed_many(queries, depth) {
-                Ok(out) => return Ok(out),
-                Err(e) if retryable(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt"))
+        self.inner
+            .cfg
+            .retry
+            .run(|| self.routed_many(queries, depth), retryable)
     }
 
     /// One pass over the ranked endpoints for a pipelined set: sequential
@@ -491,11 +444,14 @@ impl MultiClient {
                 let hedge_idx = ranked[1];
                 match self.hedged_pair(idx, hedge_idx, name, cells, k) {
                     Ok(routed) => return Ok(routed),
-                    Err(e) => {
+                    Err((e, fired)) => {
                         last = Some(e);
-                        // Both hedge legs failed; skip the hedge endpoint
-                        // in the sequential sweep (it was already tried).
-                        rest.next();
+                        // A fired hedge leg already tried the hedge
+                        // endpoint; one never fired (the first leg failed
+                        // before the delay) leaves it for the sweep.
+                        if fired {
+                            rest.next();
+                        }
                         continue;
                     }
                 }
@@ -531,7 +487,7 @@ impl MultiClient {
 
     /// Issue the query to `primary_idx`; if no answer lands within the
     /// adaptive hedge delay, issue it to `hedge_idx` too and take the
-    /// first answer.
+    /// first answer. A failure says whether the hedge leg was fired.
     fn hedged_pair(
         &self,
         primary_idx: usize,
@@ -539,7 +495,7 @@ impl MultiClient {
         name: &str,
         cells: &[String],
         k: u32,
-    ) -> Result<RoutedReply, ClientError> {
+    ) -> Result<RoutedReply, (ClientError, bool)> {
         let (tx, rx) = mpsc::channel::<(usize, Result<QueryReply, ClientError>, Duration)>();
         let spawn_leg = |idx: usize, tx: mpsc::Sender<_>| {
             let inner = self.inner.clone();
@@ -564,14 +520,15 @@ impl MultiClient {
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // Primary leg is slow: fire the hedge.
-                self.inner.note_hedge_fired();
+                self.inner.hedges_fired.fetch_add(1, Ordering::Relaxed);
                 fired = true;
                 spawn_leg(hedge_idx, tx.clone());
                 expected = 2;
                 None
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(ClientError::Protocol("hedge leg vanished".to_string()));
+                let vanished = ClientError::Protocol("hedge leg vanished".to_string());
+                return Err((vanished, false));
             }
         };
         drop(tx);
@@ -584,9 +541,10 @@ impl MultiClient {
                 None => match rx.recv() {
                     Ok(o) => o,
                     Err(_) => {
-                        return Err(last.unwrap_or_else(|| {
+                        let vanished = last.unwrap_or_else(|| {
                             ClientError::Protocol("hedge legs vanished".to_string())
-                        }))
+                        });
+                        return Err((vanished, fired));
                     }
                 },
             };
@@ -601,7 +559,7 @@ impl MultiClient {
                         .push(took.as_micros() as u64);
                     let hedged = fired && idx == hedge_idx;
                     if hedged {
-                        self.inner.note_hedge_won();
+                        self.inner.hedges_won.fetch_add(1, Ordering::Relaxed);
                     }
                     return Ok(RoutedReply {
                         reply,
@@ -613,10 +571,10 @@ impl MultiClient {
                     if matches!(e, ClientError::Io(_)) {
                         self.inner.note_failure(idx);
                     }
-                    last = Some(e);
                     if outcomes >= expected {
-                        return Err(last.expect("at least one outcome"));
+                        return Err((e, fired));
                     }
+                    last = Some(e);
                 }
             }
         }
@@ -625,8 +583,9 @@ impl MultiClient {
 
 impl Drop for MultiClient {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.prober.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -674,7 +633,6 @@ mod tests {
             latencies: Mutex::new(LatencyRing::new()),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
-            replication: Mutex::new(None),
         };
         // Non-stale first (c beats b on generation), stale endpoint last
         // even with the highest generation.
@@ -694,7 +652,6 @@ mod tests {
             latencies: Mutex::new(LatencyRing::new()),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
-            replication: Mutex::new(None),
         };
         inner.note_failure(0);
         assert_eq!(inner.ranked(), vec![0, 1], "below threshold: still routable");
@@ -725,7 +682,6 @@ mod tests {
             latencies: Mutex::new(LatencyRing::new()),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
-            replication: Mutex::new(None),
         };
         // No samples yet: the 100 ms default, clamped.
         assert_eq!(inner.hedge_delay(), Duration::from_millis(100));
@@ -794,7 +750,6 @@ mod tests {
             latencies: Mutex::new(LatencyRing::new()),
             hedges_fired: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
-            replication: Mutex::new(None),
         };
         // Repeated probe rounds against a shedding server: the breaker
         // must stay closed and the endpoint must read as healthy.
@@ -826,5 +781,86 @@ mod tests {
         }
         let p99 = ring.p99_micros().unwrap();
         assert!(p99 >= 6_000, "p99 {p99} should sit near the top of the window");
+    }
+
+    /// An address nothing listens on: connects to it are refused at once.
+    fn dead_addr() -> String {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    }
+
+    #[test]
+    fn a_hedge_that_never_fired_leaves_its_endpoint_to_the_sweep() {
+        use crate::protocol::{self, Request, Response, WireError};
+
+        // `live` answers queries and refuses everything else, so its probe
+        // reads no generation and the ranking keeps the configured order:
+        // the dead endpoint first, `live` as its hedge.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let live = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // One probe connection, then one query connection.
+            for _ in 0..2 {
+                let (mut s, _) = listener.accept().unwrap();
+                let frame = protocol::read_frame(&mut s, protocol::MAX_FRAME).unwrap();
+                let resp = match Request::decode(&frame.unwrap()).unwrap() {
+                    Request::Query { .. } => Response::Query(QueryReply {
+                        health_code: 0,
+                        health_label: "hnsw".into(),
+                        degraded: false,
+                        complete: true,
+                        via_fallback: false,
+                        generation: 1,
+                        indexed: 1,
+                        visited: 1,
+                        hits: Vec::new(),
+                    }),
+                    _ => Response::Error(WireError {
+                        code: ErrorCode::Unavailable,
+                        message: "queries only".into(),
+                    }),
+                };
+                protocol::write_frame(&mut s, &resp.encode()).unwrap();
+            }
+        });
+        let client = MultiClient::new(ClusterConfig {
+            endpoints: vec![dead_addr(), live.clone()],
+            probe_interval: Duration::from_secs(3600),
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        // The dead endpoint's refusal lands well inside the hedge delay,
+        // so the hedge leg never fires and `live` must still be asked.
+        let routed = client
+            .query("q", &["x".to_string()], 1)
+            .expect("live answers");
+        assert_eq!(routed.endpoint, live);
+        assert!(!routed.hedged);
+        assert_eq!(client.hedge_counters(), (0, 0));
+        drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn dropping_the_client_does_not_wait_out_the_probe_interval() {
+        let dead = dead_addr();
+        for _ in 0..5 {
+            let client = MultiClient::new(ClusterConfig {
+                endpoints: vec![dead.clone()],
+                probe_interval: Duration::from_secs(3600),
+                ..ClusterConfig::default()
+            })
+            .unwrap();
+            // Let the prober reach its wait, so the drop has to end it.
+            std::thread::sleep(Duration::from_millis(10));
+            let started = Instant::now();
+            drop(client);
+            let took = started.elapsed();
+            assert!(took < Duration::from_millis(5), "drop took {took:?}");
+        }
     }
 }

@@ -47,8 +47,8 @@ pub use brownout::{
 pub use client::{Client, ClientError, QueryResult, QuerySpec, RetryPolicy};
 pub use cluster::{ClusterConfig, MultiClient, RoutedReply};
 pub use protocol::{
-    BatchQuery, ErrorCode, OverloadStats, QueryReply, ReplicationStats, Request, Response,
-    StatsReply, SyncItem, TenantStats, WireError, WireHit, ROLE_PRIMARY, ROLE_REPLICA,
+    ErrorCode, OverloadStats, QueryReply, ReplicationStats, Request, Response, StatsReply,
+    SyncItem, TenantStats, WireError, WireHit, ROLE_PRIMARY, ROLE_REPLICA,
 };
 pub use replica::{bootstrap, run_sync_loop, ReplicaConfig, ReplicationState, TcpSyncSource};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -29,10 +29,9 @@ use crate::sync::{FetchedChunk, SyncSource, Syncer, DEFAULT_CHUNK_LEN};
 /// Sentinel for "never been in sync yet" in [`ReplicationState`].
 const NEVER: u64 = u64::MAX;
 
-/// Replication gauges shared between the sync loop (writer), the server's
-/// stats/query paths (readers), and any in-process multi-endpoint client
-/// (hedge counters). All plain atomics — reading them never blocks a
-/// query.
+/// Replication gauges shared between the sync loop (writer) and the
+/// server's stats/query paths (readers). All plain atomics — reading them
+/// never blocks a query.
 pub struct ReplicationState {
     role: u8,
     origin: Instant,
@@ -45,8 +44,6 @@ pub struct ReplicationState {
     last_sync_micros: AtomicU64,
     last_sync_bytes: AtomicU64,
     syncs: AtomicU64,
-    hedges_fired: AtomicU64,
-    hedges_won: AtomicU64,
     /// Latched stale flag so transitions can be logged exactly once.
     stale: AtomicBool,
 }
@@ -75,8 +72,6 @@ impl ReplicationState {
             last_sync_micros: AtomicU64::new(0),
             last_sync_bytes: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
-            hedges_fired: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
             stale: AtomicBool::new(false),
         }
     }
@@ -103,16 +98,6 @@ impl ReplicationState {
             .store(took.as_micros() as u64, Ordering::Relaxed);
         self.last_sync_bytes.store(bytes, Ordering::Relaxed);
         self.syncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a hedged request being fired (second endpoint asked).
-    pub fn note_hedge_fired(&self) {
-        self.hedges_fired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a hedged request whose second attempt answered first.
-    pub fn note_hedge_won(&self) {
-        self.hedges_won.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Seconds since the replica last confirmed being in sync (counted
@@ -164,8 +149,6 @@ impl ReplicationState {
                 last_sync_micros: self.last_sync_micros.load(Ordering::Relaxed),
                 last_sync_bytes: self.last_sync_bytes.load(Ordering::Relaxed),
                 syncs: self.syncs.load(Ordering::Relaxed),
-                hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-                hedges_won: self.hedges_won.load(Ordering::Relaxed),
                 stale: false,
             };
         }
@@ -180,8 +163,6 @@ impl ReplicationState {
             last_sync_micros: self.last_sync_micros.load(Ordering::Relaxed),
             last_sync_bytes: self.last_sync_bytes.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
-            hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
             stale: self.is_stale(),
         }
     }
@@ -443,18 +424,13 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_hedge_counters_accumulate() {
+    fn sync_counters_accumulate() {
         let state = ReplicationState::replica(Duration::from_secs(60));
         state.note_sync(Duration::from_millis(12), 4096);
         state.note_sync(Duration::from_millis(8), 1024);
-        state.note_hedge_fired();
-        state.note_hedge_fired();
-        state.note_hedge_won();
         let s = state.snapshot(1);
         assert_eq!(s.syncs, 2);
         assert_eq!(s.last_sync_micros, 8_000);
         assert_eq!(s.last_sync_bytes, 1024);
-        assert_eq!(s.hedges_fired, 2);
-        assert_eq!(s.hedges_won, 1);
     }
 }

@@ -72,8 +72,7 @@ pub struct ServerConfig {
     pub sync_export: Option<Arc<SyncExport>>,
     /// Replication gauges surfaced through `stats` and consulted for
     /// stale-marking of answers. `None` (the default) reports no
-    /// replication tail at all — the standalone server of earlier
-    /// releases.
+    /// replication gauges.
     pub replication: Option<Arc<ReplicationState>>,
     /// Testing hook: sleep this long inside every query before answering.
     /// Lets the chaos suite fake a slow replica without touching the
@@ -142,10 +141,9 @@ struct Job {
 /// Where a job's answer goes.
 enum JobSink {
     /// Untagged single query: the connection thread blocks on this channel
-    /// and writes the plain `Query`/`Error` frame itself — the
-    /// pre-pipelining wire behavior, byte-identical for old clients.
+    /// and writes the plain `Query`/`Error` frame itself.
     Channel(mpsc::Sender<Response>),
-    /// Pipelined or batched member: the worker writes a correlated
+    /// Tagged (pipelined) query: the worker writes a correlated
     /// `QueryFor` frame through the connection's shared writer, coalesced
     /// with the rest of its wave.
     Correlated {
@@ -714,9 +712,7 @@ fn process_wave(shared: &Shared, wave: Vec<Job>) {
     if stale {
         health_label.push_str(" (stale)");
     }
-    // Like staleness, the brownout rung rides the label + degraded flag:
-    // QueryReply's strict decoder cannot grow a field, and old clients
-    // must keep parsing replies from a browned-out server.
+    // Like staleness, the brownout rung rides the label + degraded flag.
     if rung > 0 {
         health_label.push_str(&format!(" (brownout-{rung})"));
         shared
@@ -794,11 +790,10 @@ fn internal_error(msg: &str) -> Response {
 /// Read frames off one connection until EOF, a fatal protocol error, a
 /// stall, or server drain. Always answers with a structured error before
 /// closing on a protocol violation. Untagged queries block this thread
-/// until answered (the pre-pipelining behavior, byte-identical on the
-/// wire); queries carrying a `request_id` — and every `QueryBatch`
-/// member — return to the read loop immediately after admission, so the
-/// client can keep its pipeline window full while worker waves write the
-/// correlated answers back through the shared [`ConnWriter`].
+/// until answered; queries carrying a `request_id` return to the read
+/// loop immediately after admission, so the client can keep its pipeline
+/// window full while worker waves write the correlated answers back
+/// through the shared [`ConnWriter`].
 fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     // All frame writes go through one serialized writer: the read loop's
@@ -898,20 +893,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
                 admit_pipelined(shared, &writer, request_id, name, cells, k, tenant)?;
                 continue;
             }
-            Request::QueryBatch { queries } => {
-                for q in queries {
-                    admit_pipelined(
-                        shared,
-                        &writer,
-                        q.request_id,
-                        q.name,
-                        q.cells,
-                        q.k,
-                        q.tenant,
-                    )?;
-                }
-                continue;
-            }
             Request::Query { k: 0, .. } => Response::Error(WireError {
                 code: ErrorCode::BadRequest,
                 message: "k must be >= 1".to_string(),
@@ -928,7 +909,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
     }
 }
 
-/// Admit one pipelined (tagged or batched) query. An admission failure is
+/// Admit one tagged (pipelined) query. An admission failure is
 /// answered immediately with a correlated error frame; success returns to
 /// the read loop with the job queued for a worker wave.
 fn admit_pipelined(
@@ -1110,8 +1091,7 @@ fn admit_query(
 }
 
 /// Admit an untagged single query and block the connection thread (not a
-/// worker) until its wave answers — the pre-pipelining request/response
-/// behavior old clients rely on.
+/// worker) until its wave answers.
 fn dispatch_query(
     shared: &Shared,
     name: String,

@@ -1,20 +1,20 @@
 //! Pipelined serving end-to-end: multi-query windows over one connection,
-//! out-of-order correlation, wave formation on the server, and wire
-//! compatibility in both directions (an old single-query client against
-//! the new server, and the new pipelined client against an emulated old
-//! server that predates request ids).
+//! out-of-order correlation, wave formation on the server, untagged
+//! queries answered with plain frames beside tagged ones, and a client
+//! that refuses answers it cannot correlate.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use deepjoin_ann::Budget;
 use deepjoin_serve::{
-    Client, ClientError, ErrorCode, Health, Hit, LoadedSnapshot, QueryOutcome, QuerySpec, Request,
-    Response, ServeModel, Server, ServerConfig, ServerHandle, WaveQuery, WireError,
+    protocol, Client, ClientError, ErrorCode, Health, Hit, LoadedSnapshot, QueryOutcome,
+    QueryReply, QuerySpec, Request, Response, ServeModel, Server, ServerConfig, ServerHandle,
+    WaveQuery, WireHit,
 };
 
 /// A deterministic model whose answer encodes the query name, so replies
@@ -65,6 +65,29 @@ impl ServeModel for EchoModel {
             thread::sleep(self.delay);
         }
         wave.iter().map(|q| echo_outcome(q.name, q.k, self.n)).collect()
+    }
+}
+
+/// The wire reply the echo model gives for `name` at `k`.
+fn echo_reply(name: &str, k: u32) -> QueryReply {
+    QueryReply {
+        generation: 1,
+        indexed: 64,
+        health_code: 0,
+        health_label: "hnsw".to_string(),
+        complete: true,
+        degraded: false,
+        via_fallback: false,
+        visited: k as u64,
+        hits: echo_outcome(name, k as usize, 64)
+            .hits
+            .into_iter()
+            .map(|h| WireHit {
+                id: h.id,
+                score: h.score,
+                label: h.label,
+            })
+            .collect(),
     }
 }
 
@@ -121,13 +144,24 @@ fn pipelined_queries_return_in_input_order_and_match_single_queries() {
     }
 
     let mut c = Client::connect(&addr).unwrap();
-    let queries: Vec<QuerySpec<'_>> = names
+    let mut queries: Vec<QuerySpec<'_>> = names
         .iter()
         .map(|name| QuerySpec { name, cells: &cells, k: 5 })
         .collect();
+    // Every member honors its own k, and a k = 0 member is refused on its
+    // own: the rest of the window still answers.
+    queries.push(QuerySpec { name: "iota", cells: &cells, k: 2 });
+    queries.push(QuerySpec { name: "kappa", cells: &cells, k: 0 });
     let results = c.query_pipelined(&queries, 8).unwrap();
-    assert_eq!(results.len(), names.len());
-    for (i, r) in results.iter().enumerate() {
+    assert_eq!(results.len(), names.len() + 2);
+    let own_k = results[names.len()].as_ref().expect("k = 2 member answered");
+    assert_eq!(own_k.hits.len(), 2);
+    assert!(own_k.hits[0].label.starts_with("iota"));
+    match &results[names.len() + 1] {
+        Err(e) => assert_eq!(e.code, ErrorCode::BadRequest),
+        other => panic!("k = 0 member must shed with BadRequest, got {other:?}"),
+    }
+    for (i, r) in results[..names.len()].iter().enumerate() {
         let reply = r.as_ref().expect("pipelined member answered");
         assert_eq!(
             reply.hits, reference[i].hits,
@@ -144,48 +178,7 @@ fn pipelined_queries_return_in_input_order_and_match_single_queries() {
     stop(&handle, join);
 }
 
-#[test]
-fn batch_frame_round_trips_and_respects_per_member_k() {
-    let (addr, handle, join, _max_wave) = echo_server(
-        ServerConfig {
-            workers: 1,
-            wave_width: 16,
-            ..ServerConfig::default()
-        },
-        Duration::ZERO,
-    );
-    let cells = vec!["x".to_string()];
-    let mut c = Client::connect(&addr).unwrap();
-    let queries = vec![
-        QuerySpec { name: "one", cells: &cells, k: 1 },
-        QuerySpec { name: "two", cells: &cells, k: 2 },
-        QuerySpec { name: "three", cells: &cells, k: 3 },
-    ];
-    let results = c.query_batch(&queries).unwrap();
-    assert_eq!(results.len(), 3);
-    for (i, r) in results.iter().enumerate() {
-        let reply = r.as_ref().expect("batch member answered");
-        assert_eq!(reply.hits.len(), i + 1, "member {i} must honor its own k");
-        assert!(reply.hits[0].label.starts_with(queries[i].name));
-    }
-    // A k=0 member is shed individually with a structured error; the rest
-    // of the batch still answers.
-    let queries = vec![
-        QuerySpec { name: "good", cells: &cells, k: 2 },
-        QuerySpec { name: "bad", cells: &cells, k: 0 },
-    ];
-    let results = c.query_batch(&queries).unwrap();
-    assert!(results[0].is_ok(), "healthy member must not be collateral damage");
-    match &results[1] {
-        Err(e) => assert_eq!(e.code, ErrorCode::BadRequest),
-        other => panic!("k=0 member must shed with BadRequest, got {other:?}"),
-    }
-    stop(&handle, join);
-}
-
-// ---- wire compatibility: old client against the new server. The "old
-// ---- client" is raw frames exactly as a PR 9 client encodes them (the
-// ---- protocol tests pin that `request_id: None` is byte-identical).
+// ---- untagged queries: raw frames, answered with plain response frames.
 
 fn read_one_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
     let mut header = [0u8; 4];
@@ -197,7 +190,7 @@ fn read_one_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
 }
 
 #[test]
-fn old_single_query_client_sees_unchanged_response_frames() {
+fn untagged_queries_get_plain_response_frames() {
     let (addr, handle, join, _max_wave) = echo_server(
         ServerConfig {
             wave_width: 8,
@@ -214,8 +207,8 @@ fn old_single_query_client_sees_unchanged_response_frames() {
     let payload = read_one_frame(&mut raw).expect("pong");
     assert_eq!(payload[1], 1, "Ping response tag changed");
 
-    // An untagged query (no tenant tail, no id tail — the PR 9 image) must
-    // come back as a plain tag-2 Query response, never a QueryFor.
+    // An untagged query must come back as a plain tag-2 Query response,
+    // never a QueryFor.
     let query = Request::Query {
         name: "compat".to_string(),
         cells: vec!["x".to_string()],
@@ -233,9 +226,7 @@ fn old_single_query_client_sees_unchanged_response_frames() {
         other => panic!("expected plain Query reply, got {other:?}"),
     }
 
-    // Stats: tag 5, and the new dedup tail is optional — an old decoder
-    // that stops before it still parses (pinned by protocol tests); here we
-    // check the frame decodes and carries the tail for new decoders.
+    // Stats: tag 5, carrying the wave dedup counter.
     let stats = Request::Stats.encode();
     raw.write_all(&(stats.len() as u32).to_le_bytes()).unwrap();
     raw.write_all(&stats).unwrap();
@@ -249,7 +240,7 @@ fn old_single_query_client_sees_unchanged_response_frames() {
 }
 
 #[test]
-fn interleaved_old_and_pipelined_traffic_on_one_connection() {
+fn interleaved_untagged_and_pipelined_traffic() {
     // A connection may mix untagged queries (answered inline, in order)
     // with tagged pipelined windows. The untagged reply must arrive as a
     // plain Query frame even while tagged work is in flight elsewhere.
@@ -280,116 +271,34 @@ fn interleaved_old_and_pipelined_traffic_on_one_connection() {
     stop(&handle, join);
 }
 
-// ---- wire compatibility: new client against an emulated OLD server.
-
-/// An "old" (PR 9) server: decodes queries while ignoring any tail bytes
-/// past the cells it knows about, and answers strictly in order with plain
-/// `Response::Query` frames. Rejects the unknown batch tag (10) the way
-/// the old request decoder does: a structured BadRequest.
-fn spawn_old_server() -> (String, Arc<AtomicU32>, thread::JoinHandle<()>) {
+#[test]
+fn a_plain_answer_to_a_tagged_query_is_a_protocol_error() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let served = Arc::new(AtomicU32::new(0));
-    let served2 = served.clone();
     let join = thread::spawn(move || {
-        // One connection is enough for these tests.
         let (mut s, _) = listener.accept().unwrap();
-        while let Some(payload) = read_one_frame(&mut s) {
-            // Old decoder: version byte, tag byte.
-            let resp = if payload.len() < 2 || payload[0] != 1 {
-                Response::Error(WireError {
-                    code: ErrorCode::BadRequest,
-                    message: "bad version".to_string(),
-                })
-            } else if payload[1] == 2 {
-                // A query. The old decoder reads name/cells/k and ignores
-                // everything after — including the request-id tail. Answer
-                // in order with a plain reply. Reuse the real decoder
-                // (which tolerates the tails the same way) to pull the
-                // fields out, then drop the id on the floor like old code.
-                match Request::decode(&payload) {
-                    Ok(Request::Query { name, k, .. }) => {
-                        served2.fetch_add(1, Ordering::SeqCst);
-                        Response::Query(deepjoin_serve::QueryReply {
-                            generation: 1,
-                            indexed: 64,
-                            health_code: 0,
-                            health_label: "hnsw".to_string(),
-                            complete: true,
-                            degraded: false,
-                            via_fallback: false,
-                            visited: k as u64,
-                            hits: echo_outcome(&name, k as usize, 64)
-                                .hits
-                                .into_iter()
-                                .map(|h| deepjoin_serve::WireHit {
-                                    id: h.id,
-                                    score: h.score,
-                                    label: h.label,
-                                })
-                                .collect(),
-                        })
-                    }
-                    _ => Response::Error(WireError {
-                        code: ErrorCode::BadRequest,
-                        message: "malformed query".to_string(),
-                    }),
-                }
-            } else {
-                // Unknown tag (e.g. the batch frame): old servers reject.
-                Response::Error(WireError {
-                    code: ErrorCode::BadRequest,
-                    message: format!("unknown request tag {}", payload[1]),
-                })
-            };
-            let enc = resp.encode();
-            if s.write_all(&(enc.len() as u32).to_le_bytes()).is_err()
-                || s.write_all(&enc).is_err()
-            {
-                break;
-            }
-        }
+        let payload = read_one_frame(&mut s).expect("tagged query");
+        // Answer as if the id were not there: a plain Query frame.
+        let resp = match Request::decode(&payload) {
+            Ok(Request::Query {
+                name,
+                k,
+                request_id: Some(_),
+                ..
+            }) => Response::Query(echo_reply(&name, k)),
+            other => panic!("expected a tagged query, got {other:?}"),
+        };
+        protocol::write_frame(&mut s, &resp.encode()).unwrap();
+        let mut buf = [0u8; 64];
+        while matches!(s.read(&mut buf), Ok(n) if n > 0) {}
     });
-    (addr, served, join)
-}
-
-#[test]
-fn pipelined_client_against_an_old_server_falls_back_to_in_order() {
-    let (addr, served, join) = spawn_old_server();
     let cells = vec!["x".to_string()];
     let mut c = Client::connect(&addr).unwrap();
-    let queries = vec![
-        QuerySpec { name: "first", cells: &cells, k: 2 },
-        QuerySpec { name: "second", cells: &cells, k: 3 },
-        QuerySpec { name: "third", cells: &cells, k: 4 },
-    ];
-    let results = c.query_pipelined(&queries, 3).unwrap();
-    assert_eq!(served.load(Ordering::SeqCst), 3);
-    for (i, r) in results.iter().enumerate() {
-        let reply = r.as_ref().expect("old server answered in order");
-        assert_eq!(reply.hits.len(), i + 2, "answer {i} mis-correlated");
-        assert!(reply.hits[0].label.starts_with(queries[i].name));
+    let queries = [QuerySpec { name: "a", cells: &cells, k: 1 }];
+    match c.query_pipelined(&queries, 1) {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("QueryFor"), "got: {msg}"),
+        other => panic!("an uncorrelated answer must be a protocol error, got {other:?}"),
     }
-    drop(c);
-    join.join().unwrap();
-}
-
-#[test]
-fn batch_against_an_old_server_surfaces_the_rejection_for_fallback() {
-    let (addr, _served, join) = spawn_old_server();
-    let cells = vec!["x".to_string()];
-    let mut c = Client::connect(&addr).unwrap();
-    let queries = vec![QuerySpec { name: "q", cells: &cells, k: 2 }];
-    match c.query_batch(&queries) {
-        Err(ClientError::Server(e)) => {
-            assert_eq!(e.code, ErrorCode::BadRequest);
-            // The caller can now fall back to query_pipelined on the same
-            // connection (tagged queries ride the compatible image).
-        }
-        other => panic!("old server must reject the batch frame whole, got {other:?}"),
-    }
-    let results = c.query_pipelined(&queries, 1).unwrap();
-    assert!(results[0].is_ok(), "fallback after batch rejection must work");
     drop(c);
     join.join().unwrap();
 }
@@ -423,44 +332,14 @@ fn scripted_server(
             }
         }
         for id in reorder(ids) {
-            let resp = match names.get(&id) {
-                Some((name, k)) => Response::QueryFor {
-                    request_id: id,
-                    reply: Ok(deepjoin_serve::QueryReply {
-                        generation: 1,
-                        indexed: 64,
-                        health_code: 0,
-                        health_label: "hnsw".to_string(),
-                        complete: true,
-                        degraded: false,
-                        via_fallback: false,
-                        visited: *k as u64,
-                        hits: echo_outcome(name, *k as usize, 64)
-                            .hits
-                            .into_iter()
-                            .map(|h| deepjoin_serve::WireHit {
-                                id: h.id,
-                                score: h.score,
-                                label: h.label,
-                            })
-                            .collect(),
-                    }),
-                },
-                // An id the client never sent: an orphan.
-                None => Response::QueryFor {
-                    request_id: id,
-                    reply: Ok(deepjoin_serve::QueryReply {
-                        generation: 1,
-                        indexed: 0,
-                        health_code: 0,
-                        health_label: "hnsw".to_string(),
-                        complete: true,
-                        degraded: false,
-                        via_fallback: false,
-                        visited: 0,
-                        hits: vec![],
-                    }),
-                },
+            // An id the client never sent (an orphan) gets an empty answer.
+            let reply = match names.get(&id) {
+                Some((name, k)) => echo_reply(name, *k),
+                None => echo_reply("orphan", 0),
+            };
+            let resp = Response::QueryFor {
+                request_id: id,
+                reply: Ok(reply),
             };
             let enc = resp.encode();
             if s.write_all(&(enc.len() as u32).to_le_bytes()).is_err()

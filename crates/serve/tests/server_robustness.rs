@@ -339,6 +339,36 @@ fn garbage_bytes_get_a_structured_bad_request() {
 }
 
 #[test]
+fn a_version_1_frame_gets_one_bad_request_naming_it_then_the_connection_closes() {
+    let (addr, handle, join) = spawn_server(
+        ServerConfig::default(),
+        toy_loader(Duration::ZERO, 5),
+    );
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let mut query = Request::Query {
+        name: "q".to_string(),
+        cells: cells(1),
+        k: 3,
+        tenant: None,
+        request_id: None,
+    }
+    .encode();
+    query[0] = 1;
+    protocol::write_frame(&mut raw, &query).unwrap();
+    let payload = read_one_frame(&mut raw).expect("server must answer, not reset");
+    match Response::decode(&payload).unwrap() {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert!(e.message.contains("version 1"), "got: {}", e.message);
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    assert!(read_one_frame(&mut raw).is_none(), "one answer, then close");
+    assert_still_serving(&addr);
+    stop(&handle, join);
+}
+
+#[test]
 fn oversized_frame_header_is_rejected_before_body() {
     let (addr, handle, join) = spawn_server(
         ServerConfig {
