@@ -209,6 +209,14 @@ impl Sq8Plane {
             + self.row_norm.resident_bytes()
     }
 
+    /// Bytes of the plane (codes + per-dim maps + row norms), wherever they
+    /// live: [`Self::resident_bytes`] counts only the heap-backed ones.
+    pub fn byte_len(&self) -> usize {
+        self.codes.len()
+            + std::mem::size_of::<f32>()
+                * (self.scale.len() + self.offset.len() + self.row_norm.len())
+    }
+
     /// True when the code matrix is a zero-copy view of a mapped artifact.
     pub fn is_mapped(&self) -> bool {
         self.codes.is_mapped()

@@ -97,6 +97,7 @@ use deepjoin::model::{DeepJoin, DeepJoinConfig, IndexHealth, Variant};
 use deepjoin::persist::{load_model_path, save_model};
 use deepjoin::train::{FineTuneConfig, JoinType};
 use deepjoin::trainer::TrainerConfig;
+use deepjoin_ann::sq8::Sq8Plane;
 use deepjoin_lake::corpus::{Corpus, CorpusConfig, CorpusProfile};
 use deepjoin_lake::joinability::equi_joinability;
 use deepjoin_lake::lakefile;
@@ -474,8 +475,9 @@ fn cmd_build(args: &[String]) -> CliResult {
         return Err("quantization failed: model has no index state".into());
     }
     let sq8_bytes = model
-        .sq8_resident_bytes()
-        .expect("plane attached by quantize_sq8");
+        .sq8_plane()
+        .expect("plane attached by quantize_sq8")
+        .byte_len();
     write_artifact(out, &save_model(&model, true))?;
     println!(
         "wrote {out} ({} bytes): sq8 plane {sq8_bytes} bytes vs {f32_bytes} f32 ({:.2}x smaller)",
@@ -989,6 +991,19 @@ fn cmd_ctl(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// `dj info`'s quantization line: the SQ8 plane's bytes, whether they are
+/// mapped from the artifact or on the heap, and the f32 plane it stands in
+/// for divided by them.
+fn sq8_info_line(plane: &Sq8Plane) -> String {
+    let f32_bytes = plane.len() * plane.dim() * std::mem::size_of::<f32>();
+    let bytes = plane.byte_len();
+    let backing = if plane.is_mapped() { "mapped" } else { "heap" };
+    format!(
+        "quantization  : sq8 ({bytes} bytes, {backing}, {:.2}x smaller than f32)",
+        f32_bytes as f64 / bytes.max(1) as f64
+    )
+}
+
 fn cmd_info(args: &[String]) -> CliResult {
     let model_path = args.first().ok_or("missing <in.model>")?;
     let loaded = load_model_path(Path::new(model_path))?;
@@ -1012,14 +1027,8 @@ fn cmd_info(args: &[String]) -> CliResult {
         }
         health => println!("index health  : {}", health.label()),
     }
-    match model.sq8_resident_bytes() {
-        Some(b) => {
-            let f32_bytes = model.indexed_len() * cfg.dim * std::mem::size_of::<f32>();
-            println!(
-                "quantization  : sq8 ({b} bytes resident, {:.2}x smaller than f32)",
-                f32_bytes as f64 / b.max(1) as f64
-            );
-        }
+    match model.sq8_plane() {
+        Some(plane) => println!("{}", sq8_info_line(plane)),
         None => println!("quantization  : none (exact f32)"),
     }
     if !sections.is_empty() {
@@ -1049,6 +1058,36 @@ mod tests {
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The line reports the plane's bytes whatever backs them: a mapped
+    /// plane is not "0 bytes" and its ratio is the same as on the heap.
+    #[test]
+    fn sq8_info_line_counts_mapped_and_heap_planes_alike() {
+        let (rows, dim) = (100, 64);
+        let data: Vec<f32> = (0..rows * dim).map(|i| (i % 17) as f32 - 8.0).collect();
+        let heap = Sq8Plane::quantize(&data, dim);
+        let codes = heap.codes().to_vec();
+        let owner: deepjoin_ann::ByteOwner = std::sync::Arc::new(codes.clone());
+        let mapped = Sq8Plane::from_parts(
+            dim,
+            heap.scale().to_vec(),
+            heap.offset().to_vec(),
+            deepjoin_ann::PodVec::<u8>::from_bytes(owner, 0, codes.len()).unwrap(),
+            heap.row_norms().to_vec(),
+        );
+        assert!(mapped.is_mapped() && !heap.is_mapped());
+        // 100 x 64 codes + 100 row norms + 2 x 64 per-dim floats.
+        let bytes = rows * dim + 4 * (rows + 2 * dim);
+        let ratio = (rows * dim * 4) as f64 / bytes as f64;
+        assert_eq!(
+            sq8_info_line(&heap),
+            format!("quantization  : sq8 ({bytes} bytes, heap, {ratio:.2}x smaller than f32)")
+        );
+        assert_eq!(
+            sq8_info_line(&mapped),
+            format!("quantization  : sq8 ({bytes} bytes, mapped, {ratio:.2}x smaller than f32)")
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@ use deepjoin_ann::budget::{Budget, BudgetedSearch};
 use deepjoin_ann::flat::FlatIndex;
 use deepjoin_ann::hnsw::{HnswConfig, HnswIndex};
 use deepjoin_ann::index::{Neighbor, SearchRequest, VectorIndex};
+use deepjoin_ann::sq8::Sq8Plane;
 use deepjoin_embed::cell_space::CellSpace;
 use deepjoin_embed::ngram::{NgramConfig, NgramEmbedder};
 use deepjoin_embed::sgns::{train_sgns, SgnsConfig};
@@ -590,13 +591,13 @@ impl DeepJoin {
         }
     }
 
-    /// Resident bytes of the attached SQ8 plane, when the index is
-    /// quantized (surfaced by `dj info`).
-    pub fn sq8_resident_bytes(&self) -> Option<usize> {
+    /// The attached SQ8 plane, when the index is quantized (surfaced by
+    /// `dj info`).
+    pub fn sq8_plane(&self) -> Option<&Sq8Plane> {
         match &self.index {
             IndexState::None => None,
-            IndexState::Hnsw(index) => index.sq8().map(|p| p.resident_bytes()),
-            IndexState::DegradedFlat { index, .. } => index.sq8().map(|p| p.resident_bytes()),
+            IndexState::Hnsw(index) => index.sq8(),
+            IndexState::DegradedFlat { index, .. } => index.sq8(),
         }
     }
 

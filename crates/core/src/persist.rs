@@ -929,14 +929,14 @@ mod tests {
     fn sq8_plane_roundtrips_through_save_load() {
         let (mut model, _) = tiny_indexed(40);
         assert!(model.quantize_sq8());
-        assert!(model.sq8_resident_bytes().is_some());
+        assert!(model.sq8_plane().is_some());
         let bytes = save_model(&model, true);
         let loaded = load_model(&bytes).unwrap();
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert_eq!(loaded.model.index_health(), IndexHealth::Hnsw);
         assert_eq!(
-            loaded.model.sq8_resident_bytes(),
-            model.sq8_resident_bytes(),
+            loaded.model.sq8_plane().map(|p| p.byte_len()),
+            model.sq8_plane().map(|p| p.byte_len()),
             "quantization must survive the round trip"
         );
         let mut rng = StdRng::seed_from_u64(77);
@@ -974,7 +974,7 @@ mod tests {
         assert!(loaded.warnings[0].contains("SQ8 quantized plane failed verification"));
         // The quantized fast path is lost; the index itself is not.
         assert_eq!(loaded.model.index_health(), IndexHealth::Hnsw);
-        assert_eq!(loaded.model.sq8_resident_bytes(), None);
+        assert!(loaded.model.sq8_plane().is_none());
         let IndexState::Hnsw(idx) = &mut model.index else {
             unreachable!()
         };

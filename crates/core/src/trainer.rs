@@ -25,6 +25,7 @@ use rand::stream::stream_rng;
 
 use deepjoin_lake::tokenizer::TokenId;
 use deepjoin_nn::encoder::{ColumnEncoder, EncoderOptimizer};
+use deepjoin_nn::matrix::Matrix;
 use deepjoin_nn::mnr::MnrLoss;
 
 use crate::checkpoint::{
@@ -278,12 +279,17 @@ pub fn fine_tune_checkpointed(
                 t.meta.batch_in_epoch += 1;
                 continue;
             }
-            let xs: Vec<Vec<TokenId>> = chunk.iter().map(|&i| pairs[i].0.clone()).collect();
-            let ys: Vec<Vec<TokenId>> = chunk.iter().map(|&i| pairs[i].1.clone()).collect();
-
+            // One packed forward over `xs ++ ys`; the loss sees the halves.
+            let seqs: Vec<&[TokenId]> = chunk
+                .iter()
+                .map(|&i| pairs[i].0.as_slice())
+                .chain(chunk.iter().map(|&i| pairs[i].1.as_slice()))
+                .collect();
             encoder.zero_grad();
-            let out_x = encoder.encode_batch(&xs);
-            let out_y = encoder.encode_batch(&ys); // cache now holds ys
+            let out = encoder.encode_batch(&seqs);
+            let (b, d) = (chunk.len(), out.cols);
+            let out_x = Matrix::from_vec(b, d, out.data[..b * d].to_vec());
+            let out_y = Matrix::from_vec(b, d, out.data[b * d..].to_vec());
             let Some((loss, dx, dy)) = t.loss_fn.forward_guarded(&out_x, &out_y) else {
                 if t.rollback(encoder, "non-finite loss") {
                     continue 'training;
@@ -300,10 +306,7 @@ pub fn fine_tune_checkpointed(
                 }
             }
 
-            encoder.backward(&dy); // consumes the ys cache
-            let re_x = encoder.encode_batch(&xs); // restore xs cache
-            debug_assert_eq!(re_x.data.len(), out_x.data.len());
-            encoder.backward(&dx);
+            encoder.backward(&Matrix::from_vec(2 * b, d, [dx.data, dy.data].concat()));
             t.opt.step(encoder);
 
             t.meta.global_step += 1;

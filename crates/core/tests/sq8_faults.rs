@@ -104,9 +104,8 @@ fn assert_degrades_to_exact(
         IndexHealth::Hnsw,
         "{label}: graph fidelity must be untouched"
     );
-    assert_eq!(
-        loaded.model.sq8_resident_bytes(),
-        None,
+    assert!(
+        loaded.model.sq8_plane().is_none(),
         "{label}: damaged plane must be dropped, not half-attached"
     );
     assert_eq!(
@@ -133,7 +132,7 @@ fn damaged_sq8_sections_cost_one_warning_and_serve_exact() {
     {
         let loaded = load_model(&quantized).expect("quantized load");
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
-        assert!(loaded.model.sq8_resident_bytes().is_some());
+        assert!(loaded.model.sq8_plane().is_some());
     }
 
     let (offset, payload) = sq8_payload(&quantized);

@@ -261,21 +261,13 @@ impl SgnsTrainer {
                         if neg > 0 && target == context {
                             continue;
                         }
-                        let u = target as usize * dim;
-                        let score: f32 = self.input[v..v + dim]
-                            .iter()
-                            .zip(&self.output[u..u + dim])
-                            .map(|(a, b)| a * b)
-                            .sum();
-                        let g = (label - sigmoid(score)) * lr;
-                        for i in 0..dim {
-                            grad[i] += g * self.output[u + i];
-                            self.output[u + i] += g * self.input[v + i];
-                        }
+                        let in_row = &self.input[v..v + dim];
+                        let out_row = &mut self.output[target as usize * dim..][..dim];
+                        let g = (label - sigmoid(deepjoin_simd::dot(in_row, out_row))) * lr;
+                        deepjoin_simd::axpy(&mut grad, out_row, g);
+                        deepjoin_simd::axpy(out_row, in_row, g);
                     }
-                    for i in 0..dim {
-                        self.input[v + i] += grad[i];
-                    }
+                    deepjoin_simd::axpy(&mut self.input[v..v + dim], &grad, 1.0);
                 }
             }
         }

@@ -98,9 +98,9 @@ impl EncoderConfig {
 }
 
 /// Per-sequence forward state: everything [`ColumnEncoder::forward`]
-/// computes on the way to the output, which is also everything `backward`
-/// reads. `encode` keeps one per thread as scratch, `encode_batch` one per
-/// sequence.
+/// computes on the way to the output. `encode_into` keeps one per thread as
+/// scratch; `encode_batch` runs every sequence through that same scratch and
+/// packs what `backward` reads into the encoder's [`BatchCache`].
 #[derive(Default)]
 struct SeqCache {
     tokens: Vec<TokenId>,
@@ -126,6 +126,75 @@ fn with_scratch<R>(f: impl FnOnce(&mut SeqCache) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
+/// The last `encode_batch`, packed for `backward`: the token rows of every
+/// sequence one after another (`S = Σ len` rows), and the scratch the
+/// backward pass reuses. Every buffer is cleared, never freed, so a training
+/// step allocates nothing here once the largest batch has been seen.
+#[derive(Default)]
+struct BatchCache {
+    /// Truncated tokens of every sequence, `S`.
+    tokens: Vec<TokenId>,
+    /// Sequence `n` owns packed rows `offsets[n]..offsets[n + 1]`.
+    offsets: Vec<usize>,
+    /// Token rows (+ positions), `S x dim`.
+    t: Vec<f32>,
+    /// Pooling weights, `S`.
+    alpha: Vec<f32>,
+    /// Attention scorer output, `S x attn_hidden` (empty for mean pooling).
+    u: Vec<f32>,
+    /// Softmax input gradient `ds`, `S`.
+    ds: Vec<f32>,
+    /// Scorer pre-activation gradient `dZ`, `S x attn_hidden`.
+    dz: Vec<f32>,
+    /// Token-row gradient `dT`, `S x dim`.
+    dt: Vec<f32>,
+    /// `Tᵀ`, `dim x S`.
+    t_t: Vec<f32>,
+    /// `Wᵀ`, `attn_hidden x dim`.
+    w_t: Vec<f32>,
+    /// A weight-gradient product before it is added in, `dim x attn_hidden`.
+    prod: Vec<f32>,
+}
+
+/// `out = srcᵀ` for a row-major `rows x cols` `src`.
+fn transpose(src: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
+    out.resize(rows * cols, 0.0);
+    for (i, row) in src.chunks_exact(cols).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            out[j * rows + i] = x;
+        }
+    }
+}
+
+/// Sparse gradients of the embedding table: one `dim` row per touched
+/// token, in first-touch order, so the optimizer's clip sum and update walk
+/// them in an order fixed by the batch. `clear` keeps the capacity.
+#[derive(Default)]
+struct SparseGrads {
+    slot: FxHashMap<TokenId, usize>,
+    tokens: Vec<TokenId>,
+    rows: Vec<f32>,
+}
+
+impl SparseGrads {
+    /// The gradient row of `tok`, zero on first touch.
+    fn row_mut(&mut self, tok: TokenId, dim: usize) -> &mut [f32] {
+        let next = self.tokens.len();
+        let s = *self.slot.entry(tok).or_insert(next);
+        if s == next {
+            self.tokens.push(tok);
+            self.rows.resize((next + 1) * dim, 0.0);
+        }
+        &mut self.rows[s * dim..(s + 1) * dim]
+    }
+
+    fn clear(&mut self) {
+        self.slot.clear();
+        self.tokens.clear();
+        self.rows.clear();
+    }
+}
+
 /// The column encoder.
 pub struct ColumnEncoder {
     /// Configuration.
@@ -145,9 +214,9 @@ pub struct ColumnEncoder {
     /// Projection head: Linear → tanh → Linear.
     h1: Linear,
     h2: Linear,
-    /// Sparse gradients for the embedding table: row -> grad.
-    pub embedding_grads: FxHashMap<TokenId, Vec<f32>>,
-    cache: Vec<SeqCache>,
+    /// Sparse gradients for the embedding table.
+    emb_grads: SparseGrads,
+    batch: BatchCache,
 }
 
 impl ColumnEncoder {
@@ -174,8 +243,8 @@ impl ColumnEncoder {
             g_attn_v: vec![0.0; config.attn_hidden],
             h1: Linear::new(config.dim, config.dim, config.seed ^ 0xA1),
             h2: Linear::new(config.dim, config.out_dim, config.seed ^ 0xA2),
-            embedding_grads: FxHashMap::default(),
-            cache: Vec::new(),
+            emb_grads: SparseGrads::default(),
+            batch: BatchCache::default(),
             config,
         }
     }
@@ -208,22 +277,39 @@ impl ColumnEncoder {
     }
 
     /// Encode a batch with caching for a following [`Self::backward`] call.
-    /// Returns the `N x out_dim` output matrix.
-    pub fn encode_batch(&mut self, seqs: &[Vec<TokenId>]) -> Matrix {
+    /// Returns the `N x out_dim` output matrix, row `n` bit-identical to
+    /// [`Self::encode`] of sequence `n`.
+    pub fn encode_batch<S: AsRef<[TokenId]>>(&mut self, seqs: &[S]) -> Matrix {
         let dim = self.config.dim;
-        let mut pooled = Matrix::zeros(seqs.len(), dim);
-        let mut mid = Matrix::zeros(seqs.len(), dim);
         let mut out = Matrix::zeros(seqs.len(), self.config.out_dim);
-        self.cache.clear();
-        for (n, seq) in seqs.iter().enumerate() {
-            let mut c = SeqCache::default();
-            self.forward(seq, &mut c, out.row_mut(n));
-            pooled.row_mut(n).copy_from_slice(&c.pooled);
-            mid.row_mut(n).copy_from_slice(&c.mid);
-            self.cache.push(c);
-        }
-        // What `backward` reads besides the sequences: each head layer's
+        // What `backward` reads besides the token rows: each head layer's
         // input (`h2`'s is the tanh output between the two).
+        let mut pooled = self.h1.cache_x.take().unwrap_or_default();
+        let mut mid = self.h2.cache_x.take().unwrap_or_default();
+        pooled.resize(seqs.len(), dim);
+        mid.resize(seqs.len(), dim);
+        let mut c = std::mem::take(&mut self.batch);
+        c.tokens.clear();
+        c.offsets.clear();
+        c.offsets.push(0);
+        c.t.clear();
+        c.alpha.clear();
+        c.u.clear();
+        with_scratch(|sc| {
+            for (n, seq) in seqs.iter().enumerate() {
+                self.forward(seq.as_ref(), sc, out.row_mut(n));
+                c.tokens.extend_from_slice(&sc.tokens);
+                c.offsets.push(c.tokens.len());
+                c.t.extend_from_slice(&sc.t.data);
+                c.alpha.extend_from_slice(&sc.alpha);
+                if self.config.pooling == Pooling::Attention {
+                    c.u.extend_from_slice(&sc.u.data);
+                }
+                pooled.row_mut(n).copy_from_slice(&sc.pooled);
+                mid.row_mut(n).copy_from_slice(&sc.mid);
+            }
+        });
+        self.batch = c;
         self.h1.cache_x = Some(pooled);
         self.h2.cache_x = Some(mid);
         out
@@ -286,8 +372,21 @@ impl ColumnEncoder {
     /// Backpropagate `dL/d(output)` from the last `encode_batch`, routing
     /// gradients into the head, attention, positions and (sparsely) the
     /// embedding table.
+    ///
+    /// Over the packed token rows `T` (`S x dim`) with pooling weights `α`,
+    /// scorer output `U = tanh(Z)`, `Z = T·W + b`, and the pooled gradient
+    /// `dp` of each row's sequence:
+    ///
+    /// * `dα = T·dp`, `ds = α ⊙ (dα − α·dα)` per sequence;
+    /// * `dZ = (ds ⊗ v) ⊙ (1 − U²)`;
+    /// * `g_W += Tᵀ·dZ`, `g_v += Uᵀ·ds`, `g_b += Σrows dZ`;
+    /// * `dT = α ⊗ dp + dZ·Wᵀ`, routed to the embedding rows and positions.
+    ///
+    /// `dα` is one kernel call per sequence, every other product one over
+    /// the whole batch, each summed in row order, so the result depends
+    /// only on the batch.
     pub fn backward(&mut self, grad_out: &Matrix) {
-        assert_eq!(grad_out.rows, self.cache.len(), "stale cache");
+        assert_eq!(grad_out.rows + 1, self.batch.offsets.len(), "stale cache");
         // Head backward: h2 → tanh → h1.
         let mut d_mid = self.h2.backward(grad_out);
         let mid = self.h2.cache_x.as_ref().expect("backward before forward");
@@ -298,81 +397,52 @@ impl ColumnEncoder {
         if self.config.residual {
             d_pooled.add_assign(grad_out);
         }
-        let dim = self.config.dim;
-        let hid = self.config.attn_hidden;
+        let EncoderConfig { dim, attn_hidden: hid, .. } = self.config;
 
-        // Take the cache to appease the borrow checker, then put it back.
-        let caches = std::mem::take(&mut self.cache);
-        for (n, c) in caches.iter().enumerate() {
+        let mut c = std::mem::take(&mut self.batch);
+        let s = c.tokens.len();
+        c.dt.clear();
+        c.dt.resize(s * dim, 0.0);
+        if self.config.pooling == Pooling::Attention && s > 0 {
+            c.ds.resize(s, 0.0);
+            for (n, w) in c.offsets.windows(2).enumerate() {
+                let ds = &mut c.ds[w[0]..w[1]];
+                deepjoin_simd::dot_block(d_pooled.row(n), &c.t[w[0] * dim..w[1] * dim], ds);
+                let alpha = &c.alpha[w[0]..w[1]];
+                let dot: f32 = alpha.iter().zip(ds.iter()).map(|(a, d)| a * d).sum();
+                for (d, &a) in ds.iter_mut().zip(alpha) {
+                    *d = a * (*d - dot);
+                }
+            }
+            c.dz.resize(s * hid, 0.0);
+            for ((dz, u), &ds) in c.dz.chunks_exact_mut(hid).zip(c.u.chunks_exact(hid)).zip(&c.ds) {
+                for (((z, &u), &v), gb) in dz.iter_mut().zip(u).zip(&self.attn_v).zip(&mut self.g_attn_b) {
+                    *z = ds * v * (1.0 - u * u);
+                    *gb += *z;
+                }
+            }
+            c.prod.resize(dim * hid, 0.0);
+            // g_v += Uᵀ·ds, as the 1 x S by S x hid product ds·U.
+            deepjoin_simd::gemm(&c.ds, &c.u, None, hid, &mut c.prod[..hid]);
+            deepjoin_simd::axpy(&mut self.g_attn_v, &c.prod[..hid], 1.0);
+            transpose(&c.t, s, dim, &mut c.t_t);
+            deepjoin_simd::gemm(&c.t_t, &c.dz, None, hid, &mut c.prod);
+            deepjoin_simd::axpy(&mut self.g_attn_w.data, &c.prod, 1.0);
+            transpose(&self.attn_w.data, dim, hid, &mut c.w_t);
+            deepjoin_simd::gemm(&c.dz, &c.w_t, None, dim, &mut c.dt);
+        }
+        for (n, w) in c.offsets.windows(2).enumerate() {
             let dp = d_pooled.row(n);
-            let len = c.tokens.len();
-            if len == 0 {
-                continue;
-            }
-            // dT: gradient wrt per-token vectors.
-            let mut dt = Matrix::zeros(len, dim);
-            match self.config.pooling {
-                Pooling::Mean => {
-                    let inv = 1.0 / len as f32;
-                    for i in 0..len {
-                        for (g, &d) in dt.row_mut(i).iter_mut().zip(dp) {
-                            *g = d * inv;
-                        }
-                    }
-                }
-                Pooling::Attention => {
-                    // pooled = Σ αᵢ tᵢ ; scoreᵢ = v·uᵢ ; uᵢ = tanh(W tᵢ + b)
-                    let alpha = &c.alpha;
-                    // dαᵢ = dp · tᵢ, dtᵢ += αᵢ dp
-                    let mut d_alpha = vec![0f32; len];
-                    for i in 0..len {
-                        let trow = c.t.row(i);
-                        d_alpha[i] = dp.iter().zip(trow).map(|(a, b)| a * b).sum();
-                        for (g, &d) in dt.row_mut(i).iter_mut().zip(dp) {
-                            *g += alpha[i] * d;
-                        }
-                    }
-                    // softmax backward: dsᵢ = αᵢ (dαᵢ − Σⱼ αⱼ dαⱼ)
-                    let dot: f32 = alpha.iter().zip(&d_alpha).map(|(a, b)| a * b).sum();
-                    for i in 0..len {
-                        let ds = alpha[i] * (d_alpha[i] - dot);
-                        // score = v·u  →  dv += ds·u ; du = ds·v
-                        let urow = c.u.row(i);
-                        for h in 0..hid {
-                            self.g_attn_v[h] += ds * urow[h];
-                        }
-                        // u = tanh(z) → dz = du (1−u²)
-                        let trow = c.t.row(i);
-                        for h in 0..hid {
-                            let dz = ds * self.attn_v[h] * (1.0 - urow[h] * urow[h]);
-                            self.g_attn_b[h] += dz;
-                            // dW[:,h] += dz · t ; dt += dz · W[:,h]
-                            for d in 0..dim {
-                                self.g_attn_w.data[d * hid + h] += dz * trow[d];
-                                dt.data[i * dim + d] += dz * self.attn_w.data[d * hid + h];
-                            }
-                        }
-                    }
-                }
-            }
-            // Route dT into embeddings (sparse) and positions (dense).
-            for (i, &tok) in c.tokens.iter().enumerate() {
-                let drow = dt.row(i);
-                let acc = self
-                    .embedding_grads
-                    .entry(tok)
-                    .or_insert_with(|| vec![0.0; dim]);
-                for (a, &d) in acc.iter_mut().zip(drow) {
-                    *a += d;
-                }
+            for i in w[0]..w[1] {
+                let dt = &mut c.dt[i * dim..(i + 1) * dim];
+                deepjoin_simd::axpy(dt, dp, c.alpha[i]);
+                deepjoin_simd::axpy(self.emb_grads.row_mut(c.tokens[i], dim), dt, 1.0);
                 if self.config.use_positions {
-                    for (g, &d) in self.g_positions.row_mut(i).iter_mut().zip(drow) {
-                        *g += d;
-                    }
+                    deepjoin_simd::axpy(self.g_positions.row_mut(i - w[0]), dt, 1.0);
                 }
             }
         }
-        self.cache = caches;
+        self.batch = c;
     }
 
     /// Borrow every parameter tensor for persistence, in a fixed order:
@@ -462,7 +532,7 @@ impl ColumnEncoder {
         self.g_attn_w.zero();
         self.g_attn_b.iter_mut().for_each(|g| *g = 0.0);
         self.g_attn_v.iter_mut().for_each(|g| *g = 0.0);
-        self.embedding_grads.clear();
+        self.emb_grads.clear();
     }
 }
 
@@ -618,11 +688,9 @@ impl EncoderOptimizer {
                     }
                 }
             });
-            for grad in encoder.embedding_grads.values() {
-                for &x in grad {
-                    if x.is_finite() {
-                        sq += (x as f64) * (x as f64);
-                    }
+            for &x in &encoder.emb_grads.rows {
+                if x.is_finite() {
+                    sq += (x as f64) * (x as f64);
                 }
             }
             let norm = sq.sqrt() as f32;
@@ -633,10 +701,8 @@ impl EncoderOptimizer {
                         *x = if x.is_finite() { *x * scale } else { 0.0 };
                     }
                 });
-                for grad in encoder.embedding_grads.values_mut() {
-                    for x in grad.iter_mut() {
-                        *x = if x.is_finite() { *x * scale } else { 0.0 };
-                    }
+                for x in encoder.emb_grads.rows.iter_mut() {
+                    *x = if x.is_finite() { *x * scale } else { 0.0 };
                 }
             }
         }
@@ -644,14 +710,14 @@ impl EncoderOptimizer {
         // Dense parameters via shared AdamW.
         self.adam.step(&mut DenseParams(encoder));
 
-        // Sparse (lazy) Adam on touched embedding rows. Rows are independent,
-        // so the map's iteration order cannot affect the result.
+        // Sparse (lazy) Adam on touched embedding rows, in first-touch order.
         let dim = encoder.config.dim;
         let lr = self.adam.current_lr();
         let AdamConfig {
             beta1, beta2, eps, ..
         } = self.config;
-        for (&tok, grad) in &encoder.embedding_grads {
+        let grads = &encoder.emb_grads;
+        for (&tok, grad) in grads.tokens.iter().zip(grads.rows.chunks_exact(dim)) {
             let row = tok as usize % encoder.config.vocab_size;
             self.emb_t[row] += 1;
             let t = self.emb_t[row] as i32;
@@ -675,6 +741,8 @@ impl EncoderOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny(pooling: Pooling, use_positions: bool) -> ColumnEncoder {
         ColumnEncoder::new(EncoderConfig {
@@ -738,52 +806,315 @@ mod tests {
         assert!(diff > 1e-4, "position-aware encoder must be order-sensitive");
     }
 
+    /// The embedding gradient accumulated for `tok`, if it was touched.
+    fn emb_grad(e: &ColumnEncoder, tok: TokenId) -> Option<&[f32]> {
+        let dim = e.config.dim;
+        let s = *e.emb_grads.slot.get(&tok)?;
+        Some(&e.emb_grads.rows[s * dim..(s + 1) * dim])
+    }
+
+    /// The dense tensors, in the order `dense_param`/`dense_grad` name them.
+    const DENSE: [&str; 8] =
+        ["positions", "attn_w", "attn_b", "attn_v", "h1_w", "h1_b", "h2_w", "h2_b"];
+
+    fn dense_param<'a>(e: &'a mut ColumnEncoder, name: &str) -> &'a mut [f32] {
+        match name {
+            "positions" => &mut e.positions.data,
+            "attn_w" => &mut e.attn_w.data,
+            "attn_b" => &mut e.attn_b,
+            "attn_v" => &mut e.attn_v,
+            "h1_w" => &mut e.h1.w.data,
+            "h1_b" => &mut e.h1.b,
+            "h2_w" => &mut e.h2.w.data,
+            "h2_b" => &mut e.h2.b,
+            _ => unreachable!("{name}"),
+        }
+    }
+
+    fn dense_grad(e: &mut ColumnEncoder, name: &str) -> Vec<f32> {
+        let linear = |l: &mut Linear, i: usize| {
+            let mut g = Vec::new();
+            l.visit_params(&mut |_, grad| g.push(grad.to_vec()));
+            g.swap_remove(i)
+        };
+        match name {
+            "positions" => e.g_positions.data.clone(),
+            "attn_w" => e.g_attn_w.data.clone(),
+            "attn_b" => e.g_attn_b.clone(),
+            "attn_v" => e.g_attn_v.clone(),
+            "h1_w" => linear(&mut e.h1, 0),
+            "h1_b" => linear(&mut e.h1, 1),
+            "h2_w" => linear(&mut e.h2, 0),
+            "h2_b" => linear(&mut e.h2, 1),
+            _ => unreachable!("{name}"),
+        }
+    }
+
+    /// A batch with an empty sequence, a lone token, repeats, and one
+    /// sequence past `max_len` (10) whose tail tokens 10, 17, 4, 11 appear
+    /// nowhere else.
+    fn edge_batch() -> Vec<Vec<TokenId>> {
+        vec![
+            vec![1, 2, 3, 2],
+            vec![],
+            vec![5],
+            (0..14).map(|i| (i * 7) % 20).collect(),
+            vec![5, 6],
+        ]
+    }
+
+    /// `L = Σ c·out`, summed in f64.
+    fn weighted_loss(e: &mut ColumnEncoder, seqs: &[Vec<TokenId>], coeff: &Matrix) -> f32 {
+        let out = e.encode_batch(seqs);
+        out.data.iter().zip(&coeff.data).map(|(&a, &b)| a as f64 * b as f64).sum::<f64>() as f32
+    }
+
     /// Full-encoder gradient check via finite differences on the scalar loss
-    /// `L = Σ c·out` for both variants.
+    /// `L = Σ c·out` for both variants: touched embedding rows and sampled
+    /// entries of every dense tensor.
     #[test]
     fn encoder_gradients_match_finite_differences() {
         for (pool, pos) in [(Pooling::Mean, false), (Pooling::Attention, true)] {
             let mut e = tiny(pool, pos);
-            let seqs = vec![vec![1u32, 2, 3, 2], vec![5, 6]];
-            let out = e.encode_batch(&seqs);
-            let coeff = Matrix::xavier(out.rows, out.cols, 99);
-
+            let seqs = edge_batch();
+            let coeff = Matrix::xavier(seqs.len(), e.config.out_dim, 99);
             e.zero_grad();
             let _ = e.encode_batch(&seqs);
             e.backward(&coeff);
+            for tok in [10, 17, 4, 11] {
+                assert!(emb_grad(&e, tok).is_none(), "token {tok} is past max_len");
+            }
 
-            // Check the embedding gradient for a touched token.
-            let tok = 2u32;
-            let analytic = e.embedding_grads.get(&tok).cloned().expect("token touched");
             let eps = 1e-2f32;
-            for i in 0..e.config.dim {
-                let idx = tok as usize * e.config.dim + i;
-                e.embedding.data[idx] += eps;
-                let lp: f32 = e
-                    .encode_batch(&seqs)
-                    .data
-                    .iter()
-                    .zip(&coeff.data)
-                    .map(|(a, b)| a * b)
-                    .sum();
-                e.embedding.data[idx] -= 2.0 * eps;
-                let lm: f32 = e
-                    .encode_batch(&seqs)
-                    .data
-                    .iter()
-                    .zip(&coeff.data)
-                    .map(|(a, b)| a * b)
-                    .sum();
-                e.embedding.data[idx] += eps;
-                let numeric = (lp - lm) / (2.0 * eps);
-                let denom = numeric.abs().max(analytic[i].abs()).max(1e-2);
+            let check = |what: &str, numeric: f32, analytic: f32| {
+                let denom = numeric.abs().max(analytic.abs()).max(1e-2);
                 assert!(
-                    (numeric - analytic[i]).abs() / denom < 0.05,
-                    "{pool:?} emb grad {i}: numeric={numeric} analytic={}",
-                    analytic[i]
+                    (numeric - analytic).abs() / denom < 0.05,
+                    "{pool:?} {what}: numeric={numeric} analytic={analytic}"
                 );
+            };
+            let dim = e.config.dim;
+            for tok in [2u32, 5, 7] {
+                let analytic = emb_grad(&e, tok).expect("token touched").to_vec();
+                for i in 0..dim {
+                    let idx = tok as usize * dim + i;
+                    e.embedding.data[idx] += eps;
+                    let lp = weighted_loss(&mut e, &seqs, &coeff);
+                    e.embedding.data[idx] -= 2.0 * eps;
+                    let lm = weighted_loss(&mut e, &seqs, &coeff);
+                    e.embedding.data[idx] += eps;
+                    check(&format!("emb[{tok}][{i}]"), (lp - lm) / (2.0 * eps), analytic[i]);
+                }
+            }
+            for name in DENSE {
+                let analytic = dense_grad(&mut e, name);
+                let len = analytic.len();
+                for k in 0..7 {
+                    let idx = (k * 7919) % len;
+                    dense_param(&mut e, name)[idx] += eps;
+                    let lp = weighted_loss(&mut e, &seqs, &coeff);
+                    dense_param(&mut e, name)[idx] -= 2.0 * eps;
+                    let lm = weighted_loss(&mut e, &seqs, &coeff);
+                    dense_param(&mut e, name)[idx] += eps;
+                    check(&format!("{name}[{idx}]"), (lp - lm) / (2.0 * eps), analytic[idx]);
+                }
             }
         }
+    }
+
+    /// The per-element backward the kernel path replaced, kept as the
+    /// oracle: every sequence on its own forward cache, every product a
+    /// scalar loop over token × hidden unit × dim. Returns the dense
+    /// gradients in [`DENSE`] order and every touched token's embedding
+    /// gradient.
+    #[allow(clippy::type_complexity)]
+    fn reference_backward(
+        e: &ColumnEncoder,
+        seqs: &[Vec<TokenId>],
+        grad_out: &Matrix,
+    ) -> (Vec<Vec<f32>>, std::collections::BTreeMap<TokenId, Vec<f32>>) {
+        let EncoderConfig { dim, out_dim, attn_hidden: hid, .. } = e.config;
+        let mut g_positions = Matrix::zeros(e.config.max_len, dim);
+        let (mut g_w, mut g_b, mut g_v) = (vec![0f32; dim * hid], vec![0f32; hid], vec![0f32; hid]);
+        let (mut g_h1w, mut g_h1b) = (vec![0f32; dim * dim], vec![0f32; dim]);
+        let (mut g_h2w, mut g_h2b) = (vec![0f32; dim * out_dim], vec![0f32; out_dim]);
+        let mut emb = std::collections::BTreeMap::new();
+        for (n, seq) in seqs.iter().enumerate() {
+            let mut c = SeqCache::default();
+            e.forward(seq, &mut c, &mut vec![0.0; out_dim]);
+            let go = grad_out.row(n);
+            // out = mid·W2 + b2 (+ pooled); mid = tanh(pooled·W1 + b1).
+            let mut d_mid = vec![0f32; dim];
+            for p in 0..dim {
+                for j in 0..out_dim {
+                    g_h2w[p * out_dim + j] += c.mid[p] * go[j];
+                    d_mid[p] += go[j] * e.h2.w.data[p * out_dim + j];
+                }
+                d_mid[p] *= 1.0 - c.mid[p] * c.mid[p];
+            }
+            for j in 0..out_dim {
+                g_h2b[j] += go[j];
+            }
+            let mut dp = if e.config.residual { go.to_vec() } else { vec![0f32; dim] };
+            for p in 0..dim {
+                for j in 0..dim {
+                    g_h1w[p * dim + j] += c.pooled[p] * d_mid[j];
+                    dp[p] += d_mid[j] * e.h1.w.data[p * dim + j];
+                }
+            }
+            for j in 0..dim {
+                g_h1b[j] += d_mid[j];
+            }
+
+            let len = c.tokens.len();
+            let mut dt = Matrix::zeros(len, dim);
+            match e.config.pooling {
+                Pooling::Mean => {
+                    for i in 0..len {
+                        for (g, &d) in dt.row_mut(i).iter_mut().zip(&dp) {
+                            *g = d / len as f32;
+                        }
+                    }
+                }
+                Pooling::Attention => {
+                    let alpha = &c.alpha;
+                    let mut d_alpha = vec![0f32; len];
+                    for i in 0..len {
+                        d_alpha[i] = dp.iter().zip(c.t.row(i)).map(|(a, b)| a * b).sum();
+                        for (g, &d) in dt.row_mut(i).iter_mut().zip(&dp) {
+                            *g += alpha[i] * d;
+                        }
+                    }
+                    let dot: f32 = alpha.iter().zip(&d_alpha).map(|(a, b)| a * b).sum();
+                    for i in 0..len {
+                        let ds = alpha[i] * (d_alpha[i] - dot);
+                        let urow = c.u.row(i);
+                        let trow = c.t.row(i);
+                        for h in 0..hid {
+                            g_v[h] += ds * urow[h];
+                            let dz = ds * e.attn_v[h] * (1.0 - urow[h] * urow[h]);
+                            g_b[h] += dz;
+                            for d in 0..dim {
+                                g_w[d * hid + h] += dz * trow[d];
+                                dt.data[i * dim + d] += dz * e.attn_w.data[d * hid + h];
+                            }
+                        }
+                    }
+                }
+            }
+            for (i, &tok) in c.tokens.iter().enumerate() {
+                let acc = emb.entry(tok).or_insert_with(|| vec![0f32; dim]);
+                for (a, &d) in acc.iter_mut().zip(dt.row(i)) {
+                    *a += d;
+                }
+                if e.config.use_positions {
+                    for (g, &d) in g_positions.row_mut(i).iter_mut().zip(dt.row(i)) {
+                        *g += d;
+                    }
+                }
+            }
+        }
+        let dense = vec![g_positions.data, g_w, g_b, g_v, g_h1w, g_h1b, g_h2w, g_h2b];
+        (dense, emb)
+    }
+
+    /// A random batch of `n` sequences, lengths 0..=14 over `vocab` ids.
+    fn random_batch(rng: &mut StdRng, n: usize, vocab: u32) -> Vec<Vec<TokenId>> {
+        (0..n)
+            .map(|_| {
+                let len = rng.gen_range(0..15usize);
+                (0..len).map(|_| rng.gen_range(0..vocab)).collect()
+            })
+            .collect()
+    }
+
+    /// Every gradient tensor of the kernel backward agrees with the scalar
+    /// oracle to 1e-5 of the tensor's largest entry, on random batches, for
+    /// both variants with and without the residual head.
+    #[test]
+    fn kernel_backward_matches_scalar_reference() {
+        let mut rng = StdRng::seed_from_u64(0xBAC4);
+        let configs = [
+            tiny(Pooling::Mean, false).config,
+            tiny(Pooling::Attention, true).config,
+            EncoderConfig { max_len: 12, ..EncoderConfig::distil_lite(40, 16, 3) },
+            EncoderConfig { max_len: 12, ..EncoderConfig::mp_lite(40, 16, 4) },
+        ];
+        for config in configs {
+            let mut e = ColumnEncoder::new(config);
+            for _ in 0..4 {
+                let seqs = random_batch(&mut rng, 9, config.vocab_size as u32);
+                let grad_out = Matrix::xavier(seqs.len(), config.out_dim, rng.gen_range(0..1 << 20));
+                let (dense, emb) = reference_backward(&e, &seqs, &grad_out);
+                e.zero_grad();
+                let _ = e.encode_batch(&seqs);
+                e.backward(&grad_out);
+
+                let close = |what: &str, got: &[f32], want: &[f32], scale: f32| {
+                    assert_eq!(got.len(), want.len(), "{what}");
+                    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert!(
+                            (g - w).abs() <= 1e-5 * scale,
+                            "{:?} {what}[{i}]: kernel {g} vs reference {w}",
+                            config.pooling
+                        );
+                    }
+                };
+                let max_abs = |v: &[f32]| v.iter().fold(f32::MIN_POSITIVE, |m, x| m.max(x.abs()));
+                for (name, want) in DENSE.iter().zip(&dense) {
+                    close(name, &dense_grad(&mut e, name), want, max_abs(want));
+                }
+                let all: Vec<f32> = emb.values().flatten().copied().collect();
+                assert_eq!(e.emb_grads.tokens.len(), emb.len(), "touched token set");
+                for (tok, want) in &emb {
+                    let got = emb_grad(&e, *tok).expect("touched token");
+                    close(&format!("emb[{tok}]"), got, want, max_abs(&all));
+                }
+            }
+        }
+    }
+
+    /// Two training runs over the same batches end in the same bits: the
+    /// packed forward, the kernel backward and the optimizer are
+    /// deterministic.
+    #[test]
+    fn training_runs_are_bit_identical() {
+        let run = || {
+            let mut rng = StdRng::seed_from_u64(0x7EA1);
+            let mut e = tiny(Pooling::Attention, true);
+            let mut opt = EncoderOptimizer::new(
+                &e,
+                AdamConfig {
+                    warmup_steps: 2,
+                    clip_norm: 1.0,
+                    ..AdamConfig::default()
+                },
+            );
+            let loss = crate::mnr::MnrLoss::default();
+            for _ in 0..6 {
+                // One packed forward over `xs ++ ys`, one backward of `[dx; dy]`.
+                let seqs = random_batch(&mut rng, 8, 20);
+                e.zero_grad();
+                let out = e.encode_batch(&seqs);
+                let half = out.data.len() / 2;
+                let x = Matrix::from_vec(4, out.cols, out.data[..half].to_vec());
+                let y = Matrix::from_vec(4, out.cols, out.data[half..].to_vec());
+                let (_, dx, dy) = loss.forward(&x, &y);
+                e.backward(&Matrix::from_vec(8, out.cols, [dx.data, dy.data].concat()));
+                opt.step(&mut e);
+            }
+            let (emb, pos, aw, ab, av, h1w, h1b, h2w, h2b) = e.raw_params();
+            let bits: Vec<u32> = [emb, pos, aw, ab, av, h1w, h1b, h2w, h2b]
+                .concat()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            (bits, opt.export_state())
+        };
+        let (a, state_a) = run();
+        let (b, state_b) = run();
+        assert!(a == b, "parameters differ between identical runs");
+        assert_eq!(state_a, state_b);
     }
 
     #[test]
@@ -814,7 +1145,7 @@ mod tests {
             .all(|i| (e.embedding.data[9 * dim + i] - before[9 * dim + i]).abs() < 1e-12);
         assert!(untouched);
         // Gradients were cleared by step().
-        assert!(e.embedding_grads.is_empty());
+        assert!(e.emb_grads.tokens.is_empty());
     }
 
     /// Export optimizer state mid-run, restore into a fresh optimizer, and
