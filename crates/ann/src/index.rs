@@ -1,5 +1,5 @@
 //! The common index interface every ANNS backend implements, so DeepJoin can
-//! swap Flat / HNSW / IVFPQ per §3.3.
+//! swap Flat / HNSW per §3.3.
 
 use std::cmp::Ordering;
 

@@ -42,13 +42,13 @@ use crate::sq8::Sq8Plane;
 use crate::tombstones::TombSet;
 
 /// Magic bytes of a flat-vector payload.
-pub const MAGIC_FLAT: &[u8; 4] = b"DJF2";
+const MAGIC_FLAT: &[u8; 4] = b"DJF2";
 /// Magic bytes of an SQ8 quantized-plane payload.
-pub const MAGIC_SQ8: &[u8; 4] = b"DJQ2";
+const MAGIC_SQ8: &[u8; 4] = b"DJQ2";
 /// Magic bytes of a CSR graph-only HNSW payload.
-pub const MAGIC_HNSW_GRAPH: &[u8; 4] = b"DJG2";
+const MAGIC_HNSW_GRAPH: &[u8; 4] = b"DJG2";
 /// Magic bytes of a tombstone-bitmap payload.
-pub const MAGIC_TOMBS: &[u8; 4] = b"DJT1";
+const MAGIC_TOMBS: &[u8; 4] = b"DJT1";
 const VERSION: u8 = 1;
 
 fn metric_tag(m: Metric) -> u8 {
@@ -491,8 +491,6 @@ pub fn decode_hnsw_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
-    use crate::index::SearchRequest;
     use deepjoin_store::codec::DecodeErrorKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -786,66 +784,5 @@ mod tests {
         let (_keep, src) = mapped(&gb);
         let err = decode_hnsw_graph(&gb, "HNSW", vectors, Some(&src)).unwrap_err();
         assert!(matches!(err.kind, DecodeErrorKind::Invalid(_)));
-    }
-
-    #[test]
-    fn ivfpq_over_heap_and_mapped_planes_searches_identically() {
-        use crate::ivfpq::{IvfPqConfig, IvfPqIndex};
-        // IVFPQ never decodes from disk itself; it trains and rescores
-        // over the raw vector plane — which may be a zero-copy view. The
-        // whole pipeline (coarse k-means, PQ codebooks, ADC scan, SQ8
-        // refinement, tombstone filtering) must be byte-identical on
-        // either backing.
-        let dim = 16;
-        let mut orig = FlatIndex::new(dim, Metric::L2);
-        let mut state = 0x9E37_79B9u32;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 17;
-            state ^= state << 5;
-            (state % 1000) as f32 / 500.0 - 1.0
-        };
-        for _ in 0..96 {
-            let v: Vec<f32> = (0..dim).map(|_| next()).collect();
-            orig.add(&v);
-        }
-        let bytes = encode_flat(&orig);
-        let heap = decode_flat(&bytes, "VECS", None).unwrap();
-        let (pinned, src) = mapped(&bytes);
-        let view = decode_flat(&pinned, "VECS", Some(&src)).unwrap();
-        assert!(!heap.is_mapped());
-        assert!(view.is_mapped());
-
-        let build = |plane: &FlatIndex| {
-            let mut idx = IvfPqIndex::new(
-                dim,
-                IvfPqConfig {
-                    nlist: 8,
-                    nprobe: 4,
-                    ..Default::default()
-                },
-            );
-            idx.train(plane.data());
-            idx.add_batch(plane.data());
-            idx
-        };
-        let (a, b) = (build(&heap), build(&view));
-        let tombs: TombSet = [3u32, 17, 40].into_iter().collect();
-        for qid in [0u32, 5, 41] {
-            let q = orig.vector(qid).to_vec();
-            for deleted in [None, Some(&tombs)] {
-                let req = SearchRequest {
-                    queries: &q,
-                    k: 10,
-                    budget: &Budget::unlimited(),
-                    deleted,
-                };
-                let (ha, hb) = (a.search_wave(&req).remove(0), b.search_wave(&req).remove(0));
-                assert_eq!(ha.hits.len(), hb.hits.len());
-                for (x, y) in ha.hits.iter().zip(&hb.hits) {
-                    assert_eq!((x.id, x.distance.to_bits()), (y.id, y.distance.to_bits()));
-                }
-            }
-        }
     }
 }

@@ -1,11 +1,11 @@
 //! # deepjoin-ann
 //!
 //! Approximate nearest-neighbor search substrate (the Faiss stand-in,
-//! DESIGN.md §1): a from-scratch HNSW graph index (Malkov & Yashunin),
-//! IVFPQ (k-means coarse quantizer + product quantization with ADC), and an
-//! exact flat index that serves as the correctness oracle. All three
-//! implement [`VectorIndex`], so DeepJoin and the benchmarks can swap
-//! backends, as §3.3 of the paper describes.
+//! DESIGN.md §1): a from-scratch HNSW graph index (Malkov & Yashunin) and
+//! an exact flat index that serves as the correctness oracle, each with an
+//! optional SQ8-quantized plane ([`Sq8Plane`]). Both implement
+//! [`VectorIndex`], so DeepJoin and the benchmarks can swap backends, as
+//! §3.3 of the paper describes.
 //!
 //! Every search is one call, [`VectorIndex::search_wave`], over one value:
 //!
@@ -33,10 +33,7 @@ pub mod io;
 pub mod flat;
 pub mod hnsw;
 pub mod index;
-pub mod ivfpq;
-pub mod kmeans;
 pub mod plane;
-pub mod pq;
 pub mod segmented;
 pub mod sq8;
 pub mod tombstones;
@@ -47,10 +44,7 @@ pub use flat::FlatIndex;
 pub use graph::Graph;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use index::{Neighbor, SearchRequest, VectorIndex};
-pub use ivfpq::{IvfPqConfig, IvfPqIndex};
-pub use kmeans::{Kmeans, KmeansConfig};
 pub use plane::{ByteOwner, Pod, PodVec};
-pub use pq::{PqConfig, ProductQuantizer};
 pub use segmented::search_segments;
 pub use sq8::{Sq8Plane, Sq8Query, RESCORE_FACTOR};
 pub use tombstones::TombSet;

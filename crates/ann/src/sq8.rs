@@ -50,24 +50,8 @@ impl Sq8Plane {
     /// min/max affine map; a constant dimension gets `scale = 0` and decodes
     /// exactly.
     pub fn quantize(data: &[f32], dim: usize) -> Self {
-        let (scale, offset) = Self::affine_from(data, dim);
-        let mut plane = Self::with_affine(dim, scale, offset);
-        plane.codes.make_mut().reserve(data.len());
-        plane.row_norm.make_mut().reserve(data.len() / dim.max(1));
-        for row in data.chunks_exact(dim) {
-            plane.push(row);
-        }
-        plane
-    }
-
-    /// Learn per-dimension affine parameters (min/max map) from a training
-    /// matrix without encoding it — for planes that grow row by row via
-    /// [`Sq8Plane::push`] (the IVFPQ refinement layer trains here and
-    /// encodes at `add` time).
-    pub fn affine_from(data: &[f32], dim: usize) -> (Vec<f32>, Vec<f32>) {
         assert!(dim > 0, "dim must be positive");
         assert_eq!(data.len() % dim, 0, "row-major shape mismatch");
-        let n = data.len() / dim;
         let mut lo = vec![f32::INFINITY; dim];
         let mut hi = vec![f32::NEG_INFINITY; dim];
         for row in data.chunks_exact(dim) {
@@ -78,53 +62,32 @@ impl Sq8Plane {
         }
         let mut scale = vec![0f32; dim];
         let mut offset = vec![0f32; dim];
-        for d in 0..dim {
-            if n == 0 {
-                continue;
+        if !data.is_empty() {
+            for d in 0..dim {
+                offset[d] = lo[d];
+                let range = hi[d] - lo[d];
+                if range > 0.0 {
+                    scale[d] = range / 255.0;
+                }
             }
-            offset[d] = lo[d];
-            let range = hi[d] - lo[d];
-            if range > 0.0 {
-                scale[d] = range / 255.0;
+        }
+        let mut codes = Vec::with_capacity(data.len());
+        let mut row_norm = Vec::with_capacity(data.len() / dim);
+        for row in data.chunks_exact(dim) {
+            let mut norm_sq = 0f32;
+            for (d, &x) in row.iter().enumerate() {
+                let c = if scale[d] > 0.0 {
+                    ((x - offset[d]) / scale[d]).round().clamp(0.0, 255.0) as u8
+                } else {
+                    0
+                };
+                codes.push(c);
+                let deq = offset[d] + scale[d] * c as f32;
+                norm_sq += deq * deq;
             }
+            row_norm.push(norm_sq.sqrt());
         }
-        (scale, offset)
-    }
-
-    /// Empty plane with fixed affine parameters; rows are appended with
-    /// [`Sq8Plane::push`].
-    pub fn with_affine(dim: usize, scale: Vec<f32>, offset: Vec<f32>) -> Self {
-        assert!(dim > 0, "dim must be positive");
-        assert_eq!(scale.len(), dim, "scale length mismatch");
-        assert_eq!(offset.len(), dim, "offset length mismatch");
-        Self {
-            dim,
-            scale: scale.into(),
-            offset: offset.into(),
-            codes: PodVec::new(),
-            row_norm: PodVec::new(),
-        }
-    }
-
-    /// Encode and append one row under the plane's fixed affine map.
-    /// Values outside the trained range saturate at codes 0/255.
-    pub fn push(&mut self, vector: &[f32]) {
-        assert_eq!(vector.len(), self.dim, "dimension mismatch");
-        let mut norm_sq = 0f32;
-        let codes = self.codes.make_mut();
-        for (d, &x) in vector.iter().enumerate() {
-            let c = if self.scale[d] > 0.0 {
-                ((x - self.offset[d]) / self.scale[d])
-                    .round()
-                    .clamp(0.0, 255.0) as u8
-            } else {
-                0
-            };
-            codes.push(c);
-            let deq = self.offset[d] + self.scale[d] * c as f32;
-            norm_sq += deq * deq;
-        }
-        self.row_norm.make_mut().push(norm_sq.sqrt());
+        Self::from_parts(dim, scale, offset, codes, row_norm)
     }
 
     /// Reassemble a plane from decoded parts (the `DJQ2` codec).

@@ -3,7 +3,7 @@
 //! A [`TombSet`] is a plain bitset over column ids. Deletes in the live
 //! lake are *logical* — the vectors stay in their immutable segments until
 //! compaction rewrites them — so every search path (flat, SQ8 two-stage,
-//! HNSW, IVFPQ) takes an optional `TombSet` and suppresses dead ids at
+//! HNSW) takes an optional `TombSet` and suppresses dead ids at
 //! candidate-collection time. Filtering there rather than post-hoc keeps
 //! the contract exact: a top-k over live rows, not a top-k over everything
 //! with holes punched in it.

@@ -10,12 +10,21 @@
 //! before they were deleted, is pinned per row × tombstones × rung.
 //! Distance bits depend on the summation order of the SIMD tier, so the
 //! test pins the portable tier: the constants read the same on any host.
+//!
+//! Every row is also built a second time from its encoded bytes, the way an
+//! opened artifact holds it: each plane decoded as a zero-copy view of a
+//! pinned buffer. The mapped build must give the same fingerprints.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use deepjoin_ann::io::{
+    decode_flat, decode_hnsw_graph, decode_sq8, encode_flat, encode_hnsw_graph, encode_sq8,
+    MappedPayload,
+};
 use deepjoin_ann::{
-    Budget, BudgetedSearch, Effort, FlatIndex, HnswConfig, HnswIndex, IvfPqConfig, IvfPqIndex,
-    Metric, PqConfig, SearchRequest, TombSet, VectorIndex, TRUNCATED_SCAN_ROWS,
+    Budget, BudgetedSearch, Effort, FlatIndex, HnswConfig, HnswIndex, Metric, SearchRequest,
+    Sq8Plane, TombSet, VectorIndex, TRUNCATED_SCAN_ROWS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +33,7 @@ const DIM: usize = 8;
 const K: usize = 10;
 /// Rows under the scan indexes: past the rung-3 truncation horizon.
 const SCAN_ROWS: usize = TRUNCATED_SCAN_ROWS + 700;
-/// Rows under the graph and inverted-file indexes.
+/// Rows under the graph indexes.
 const GRAPH_ROWS: usize = 3000;
 
 /// How a row's answers relate to its exact twin's under an unlimited budget.
@@ -42,7 +51,9 @@ enum Relation {
 struct Row {
     name: &'static str,
     rows: usize,
-    build: fn(&[f32]) -> Box<dyn VectorIndex>,
+    /// Builds the index over the rows; with `mapped`, rebuilt from its
+    /// encoded bytes as zero-copy views.
+    build: fn(&[f32], bool) -> Box<dyn VectorIndex>,
     relation: Relation,
     /// Fingerprints recorded from the old entry points:
     /// `[no tombstones, in-range tombstones][rung]`.
@@ -61,12 +72,65 @@ fn hnsw(data: &[f32]) -> HnswIndex {
     index
 }
 
+/// A payload's bytes as the pinned buffer its decoded views borrow from.
+fn source(bytes: Vec<u8>) -> MappedPayload {
+    MappedPayload {
+        owner: Arc::new(bytes),
+        base: 0,
+    }
+}
+
+fn bytes(src: &MappedPayload) -> &[u8] {
+    src.owner.as_ref().as_ref()
+}
+
+fn mapped_sq8(plane: Option<&Sq8Plane>) -> Option<Sq8Plane> {
+    let src = source(encode_sq8(plane?));
+    let plane = decode_sq8(bytes(&src), "SQ8V", Some(&src)).unwrap();
+    assert!(plane.is_mapped());
+    Some(plane)
+}
+
+fn mapped_flat(index: &FlatIndex) -> FlatIndex {
+    let src = source(encode_flat(index));
+    let mut out = decode_flat(bytes(&src), "VECS", Some(&src)).unwrap();
+    assert!(out.is_mapped());
+    if let Some(plane) = mapped_sq8(index.sq8()) {
+        out.attach_sq8(plane);
+    }
+    out
+}
+
+fn mapped_hnsw(index: &HnswIndex) -> HnswIndex {
+    let vectors = mapped_flat(&FlatIndex::from_plane(
+        DIM,
+        Metric::L2,
+        index.vectors_plane().clone(),
+    ));
+    let src = source(encode_hnsw_graph(index));
+    let mut out =
+        decode_hnsw_graph(bytes(&src), "HNSW", vectors.plane().clone(), Some(&src)).unwrap();
+    assert!(out.is_mapped());
+    if let Some(plane) = mapped_sq8(index.sq8()) {
+        out.attach_sq8(plane);
+    }
+    out
+}
+
+fn backed_flat(index: FlatIndex, mapped: bool) -> Box<dyn VectorIndex> {
+    Box::new(if mapped { mapped_flat(&index) } else { index })
+}
+
+fn backed_hnsw(index: HnswIndex, mapped: bool) -> Box<dyn VectorIndex> {
+    Box::new(if mapped { mapped_hnsw(&index) } else { index })
+}
+
 /// Recall bounds are the ones the per-file tests of each index used.
-const TABLE: [Row; 5] = [
+const TABLE: [Row; 4] = [
     Row {
         name: "flat",
         rows: SCAN_ROWS,
-        build: |data| Box::new(flat(data)),
+        build: |data, mapped| backed_flat(flat(data), mapped),
         relation: Relation::BitIdentical,
         pinned: [
             [0x2911e1f2c2fecaa0, 0x2911e1f2c2fecaa0, 0x2911e1f2c2fecaa0, 0xacec17a300969b6c],
@@ -76,10 +140,10 @@ const TABLE: [Row; 5] = [
     Row {
         name: "flat+sq8",
         rows: SCAN_ROWS,
-        build: |data| {
+        build: |data, mapped| {
             let mut index = flat(data);
             index.quantize_sq8();
-            Box::new(index)
+            backed_flat(index, mapped)
         },
         relation: Relation::ExactDistances { recall: 0.99 },
         pinned: [
@@ -90,7 +154,7 @@ const TABLE: [Row; 5] = [
     Row {
         name: "hnsw",
         rows: GRAPH_ROWS,
-        build: |data| Box::new(hnsw(data)),
+        build: |data, mapped| backed_hnsw(hnsw(data), mapped),
         relation: Relation::Recall(0.9),
         pinned: [
             [0x2db95ad765bd5331, 0x3347b7f16ac3e3cf, 0x3347b7f16ac3e3cf, 0xe6d97b8b8266cabe],
@@ -100,40 +164,15 @@ const TABLE: [Row; 5] = [
     Row {
         name: "hnsw+sq8",
         rows: GRAPH_ROWS,
-        build: |data| {
+        build: |data, mapped| {
             let mut index = hnsw(data);
             index.quantize_sq8();
-            Box::new(index)
+            backed_hnsw(index, mapped)
         },
         relation: Relation::ExactDistances { recall: 0.9 },
         pinned: [
             [0x28b54c1582478182, 0x806cdc0d151089da, 0xde3f6ca84cb80b1f, 0xa4b67c3a47b499fb],
             [0xd2a9ad94cd5a61cb, 0x1d8638325b77e0cb, 0x4e5bd80c731a8f8f, 0x4e5bd80c731a8f8f],
-        ],
-    },
-    Row {
-        name: "ivfpq+sq8",
-        rows: GRAPH_ROWS,
-        build: |data| {
-            let config = IvfPqConfig {
-                nlist: 24,
-                nprobe: 6,
-                pq: PqConfig {
-                    m: 4,
-                    ks: 64,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let mut index = IvfPqIndex::new(DIM, config);
-            index.train(data);
-            index.add_batch(data);
-            Box::new(index)
-        },
-        relation: Relation::Recall(0.5),
-        pinned: [
-            [0xa92f3081862500d9, 0xa92f3081862500d9, 0xa92f3081862500d9, 0xa92f3081862500d9],
-            [0xfe2fc8de94a048c1, 0xfe2fc8de94a048c1, 0xfe2fc8de94a048c1, 0xfe2fc8de94a048c1],
         ],
     },
 ];
@@ -195,9 +234,9 @@ fn every_index_answers_a_wave_like_its_twin_and_like_the_old_entry_points() {
     let expired = Instant::now() - Duration::from_millis(1);
 
     let mut recorded = Vec::new();
-    for row in &TABLE {
+    for (row, mapped) in TABLE.iter().flat_map(|row| [(row, false), (row, true)]) {
         let data = clustered(row.rows, 1);
-        let index = (row.build)(&data);
+        let index = (row.build)(&data, mapped);
         let twin = flat(&data);
         // In-range tombstones: the first member's true top-3 (the rows that
         // crowd its answer) plus enough scattered rows that a graph widens
@@ -212,7 +251,7 @@ fn every_index_answers_a_wave_like_its_twin_and_like_the_old_entry_points() {
         for (t, deleted) in [None, Some(&tombs)].into_iter().enumerate() {
             for rung in 0..4u8 {
                 let effort = Effort::from_rung(rung);
-                let what = format!("{} tombs={t} rung={rung}", row.name);
+                let what = format!("{} mapped={mapped} tombs={t} rung={rung}", row.name);
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
                 for unlimited in [true, false] {
                     let budget = if unlimited {
@@ -274,11 +313,14 @@ fn every_index_answers_a_wave_like_its_twin_and_like_the_old_entry_points() {
                 prints[t][rung as usize] = h;
             }
         }
-        recorded.push((row.name, prints));
+        recorded.push((row.name, mapped, prints));
     }
     deepjoin_simd::force_kernel(None);
 
-    let pinned: Vec<_> = TABLE.iter().map(|row| (row.name, row.pinned)).collect();
+    let pinned: Vec<_> = TABLE
+        .iter()
+        .flat_map(|row| [(row.name, false, row.pinned), (row.name, true, row.pinned)])
+        .collect();
     assert_eq!(
         recorded, pinned,
         "answers moved away from the recorded entry points:\n{recorded:#x?}"

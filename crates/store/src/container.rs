@@ -215,11 +215,6 @@ impl<'a> Container<'a> {
         self.frames.iter().map(|f| f.name).collect()
     }
 
-    /// Whether a section named `name` exists (regardless of integrity).
-    pub fn has_section(&self, name: [u8; 4]) -> bool {
-        self.frames.iter().any(|f| f.name == name)
-    }
-
     /// `(name, payload bytes)` for every section in file order, without
     /// checking payload integrity — for size reporting (`dj info`).
     pub fn section_sizes(&self) -> Vec<([u8; 4], usize)> {
